@@ -6,9 +6,12 @@ stdout; search, bracket, sample, construct and bounds additionally write
 their JSON/CSV artifacts plus a run manifest (command line, parameters,
 seed, version, output digests, timings) into --out, defaulting to a
 deterministic runs/<name>-<digest> directory derived from the parameters.
+The directory is created only once the result is complete, so a failed run
+leaves nothing behind.
 
 Exit codes: 0 for any data result (an EXHAUSTED search is a successful
-result, not an error), 2 for malformed input or usage, 3 for sampler
+result, not an error), 2 for malformed input or usage and for files that
+cannot be read or written (one `error:` line on stderr), 3 for sampler
 non-convergence.  Randomness enters only through --seed (default 0, never
 wall-clock), so identical invocations produce identical outcome fields.
 """
@@ -23,7 +26,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -49,6 +51,7 @@ from .words import (
     Mode,
     Word,
     WordFormatError,
+    fraction_json,
     parse_exponent,
     parse_word,
     read_word_file,
@@ -65,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, list(argv))
-    except (WordFormatError, ValueError) as exc:
+    except (WordFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -89,7 +92,8 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Collects artifacts for one invocation and writes the manifest."""
+    """Collects artifacts for one invocation.  Nothing touches the disk
+    before finish(), so a run that fails leaves no directory behind."""
 
     def __init__(self, subcommand: str, params: dict, out: str | None, seed: int | None):
         self.subcommand = subcommand
@@ -103,22 +107,25 @@ class _Run:
                 json.dumps(params, sort_keys=True).encode()
             ).hexdigest()[:10]
             self.dir = Path("runs") / f"{subcommand}-{digest}"
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.outputs: dict[str, Path] = {}
+        self.outputs: dict[str, str] = {}
 
     def write(self, name: str, data: str) -> None:
-        path = self.dir / name
-        _atomic_write(path, data)
-        self.outputs[name] = path
+        self.outputs[name] = data
 
     def finish(self, argv: list[str]) -> None:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        digests = {}
+        for name, data in self.outputs.items():
+            path = self.dir / name
+            _atomic_write(path, data)
+            digests[name] = _sha256(path)
         manifest = {
             "command": argv,
             "subcommand": self.subcommand,
             "parameters": self.params,
             "seed": self.seed,
             "version": __version__,
-            "outputs": {name: _sha256(path) for name, path in self.outputs.items()},
+            "outputs": digests,
             "elapsed_ms": (time.perf_counter() - self.t0) * 1000.0,
         }
         _atomic_write(self.dir / "manifest.json", _json_text(manifest))
@@ -150,10 +157,6 @@ def _constraint(args) -> FreenessConstraint:
     return FreenessConstraint(
         args.min_period, parse_exponent(args.threshold), Mode(args.mode)
     )
-
-
-def _fraction_json(f: Fraction | None):
-    return None if f is None else {"num": f.numerator, "den": f.denominator}
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,7 @@ def _cmd_construct_witness(args, argv: list[str]) -> int:
         "start": occ.start,
         "period": occ.period,
         "length": occ.length,
-        "exponent": _fraction_json(occ.exponent),
+        "exponent": fraction_json(occ.exponent),
     }
     run = _Run("construct-witness", params, args.out, seed=None)
     run.write("witness.json", _json_text(doc))

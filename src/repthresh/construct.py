@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import Occurrence, Word
+from .words import Occurrence, Word, fraction_json
 
 __all__ = [
     "thue_morse",
@@ -96,6 +96,8 @@ def rank_map_block_extend(i: int, m: int, l: int) -> int:
 
 def rank_map_table(m: int, l: int) -> list[tuple[int, int, int]]:
     """Rows (index, rank, value) for the first block, CSV-ready."""
+    if l < 1:
+        raise ValueError(f"block size must be >= 1, got {l}")
     rows = []
     for i in range(l):
         value, rank = rank_map_eval(i, m, l)
@@ -283,14 +285,8 @@ class BoundReport:
         return {
             "a": self.a,
             "l": self.l,
-            "simple_lower": {
-                "num": self.simple_lower.numerator,
-                "den": self.simple_lower.denominator,
-            },
-            "fov_lower": {
-                "num": self.fov_lower.numerator,
-                "den": self.fov_lower.denominator,
-            },
+            "simple_lower": fraction_json(self.simple_lower),
+            "fov_lower": fraction_json(self.fov_lower),
             "lambda": self.growth_lambda,
             "fov_upper_main_term": self.fov_upper_main_term,
             "fov_upper_degenerate": self.fov_upper_degenerate,

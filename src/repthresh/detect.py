@@ -12,19 +12,28 @@ Two independent routes are kept deliberately separate:
   are located with C-level byte searches, which keeps the O(n^2) scan usable
   up to word lengths of a few times 10^4.
 
-``violations_ending_at`` is the incremental check used by the backtracking
-searcher: when a word grows by one letter, any new violation must end at
-that letter.
+``ViolationKernel`` is the one incremental check, used by the backtracking
+searcher and by ``violations_ending_at``: when a word grows by one letter,
+any new violation must end at that letter.  It keeps the minimal violating
+run ``need[p]`` per period (grown lazily with the word) and the prefix as a
+byte buffer.  Periods below ``_DIRECT_PERIODS`` are compared letter by
+letter; larger ones go in doubling bands [p, 2p-1].  Since need is
+non-decreasing in p, a violation at any period p' of the band needs the
+suffix of length need[p] to recur exactly p' letters earlier, so
+``bytearray.rfind`` lists every candidate period in C, ascending, and one
+slice comparison of length need[p'] confirms each.  The answer is exactly
+the smallest violating period that a letter-by-letter walk would find.
 
-All functions are pure; nothing is cached across calls.
+Apart from the kernel's ``need`` table, nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import MutableSequence
 
-from .words import FreenessConstraint, Mode, Occurrence, Word
+from .words import FreenessConstraint, Mode, Occurrence, Word, fraction_json
 
 __all__ = [
     "DetectionReport",
@@ -32,6 +41,7 @@ __all__ = [
     "max_exponent",
     "exists_repetition",
     "violations_ending_at",
+    "ViolationKernel",
     "min_repeat_distance",
     "detect",
 ]
@@ -53,16 +63,10 @@ class DetectionReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "max_exponent": _fraction_json(self.max_exponent),
+            "max_exponent": fraction_json(self.max_exponent),
             "witness": _occurrence_json(self.witness),
             "constraint_violated": self.constraint_violated,
         }
-
-
-def _fraction_json(f: Fraction | None) -> dict | None:
-    if f is None:
-        return None
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def _occurrence_json(occ: Occurrence | None) -> dict | None:
@@ -171,30 +175,133 @@ def violations_ending_at(w: Word, c: FreenessConstraint, pos: int) -> Occurrence
 
     If the prefix w[:pos] already satisfies the constraint, None here means
     w[:pos+1] satisfies it too: a new violation must end at the new letter.
-    Periods are scanned ascending and the first violation is returned,
-    truncated to the minimal violating length.
+    The occurrence of smallest period is returned, truncated to the minimal
+    violating length.  This is ``ViolationKernel.first_period`` on a fresh
+    buffer, the same check the searcher runs at every node.
     """
     if not 0 <= pos < len(w):
         raise ValueError(f"pos {pos} out of range for word of length {len(w)}")
-    letters = w.letters
-    num = c.threshold.numerator
-    den = c.threshold.denominator
-    strict = c.mode is Mode.STRICT
-    # A violation ending at pos has p + run <= pos + 1 and run >= p(r-1),
-    # so p*r <= pos+1 bounds the periods worth scanning.
-    pmax = min(pos, (pos + 1) * den // num)
-    for p in range(c.min_period, pmax + 1):
-        if letters[pos - p] != letters[pos]:
-            continue
-        need = _required_run(p, num, den, strict)
-        run = 1
-        i = pos - p - 1
-        while run < need and i >= 0 and letters[i] == letters[i + p]:
-            run += 1
-            i -= 1
-        if run >= need:
-            return Occurrence(pos - p - run + 1, p, p + run)
-    return None
+    kernel = ViolationKernel(c, w.alphabet)
+    buf, seq = kernel.encode(w.letters[: pos + 1])
+    p = kernel.first_period(buf, seq, pos)
+    if not p:
+        return None
+    run = kernel.need[p]
+    return Occurrence(pos - p - run + 1, p, p + run)
+
+
+# ---------------------------------------------------------------------------
+# The incremental violation kernel.
+#
+# A violation of period p ending at letter pos is w[pos-need[p]+1 .. pos] ==
+# w[pos-p-need[p]+1 .. pos-p] with pos-p-need[p]+1 >= 0, where need[p] is the
+# minimal match-run for the threshold (see the module docstring for the band
+# search).  Letters are stored at a fixed width of k bytes (k = 1 up to 256
+# letters); rfind hits not aligned to k straddle two letters and are skipped.
+
+# Periods below this are checked by the direct letter loop, which wins while
+# the loop is short; above it the C-level search wins.
+_DIRECT_PERIODS = 24
+# Native unsigned letter formats as (bytes per letter, memoryview format).
+# The array module would do the same, but loading it adds a few hundred KiB
+# of resident memory to every process that imports this module.
+_FORMATS = [(memoryview(bytes(8)).cast(f).itemsize, f) for f in "BHIQ"]
+
+
+class ViolationKernel:
+    """Incremental violation check for one constraint on a growing word.
+
+    The word lives in a bytearray ``buf`` at a fixed width of ``width``
+    bytes per letter; ``seq`` views the same memory as integer letters (it
+    is ``buf`` itself for one-byte letters).  ``need[p]`` is the minimal
+    match-run that makes period p forbidden; it is computed once per period
+    and grown lazily with the longest prefix checked, so short searches
+    never pay for long ones.
+    """
+
+    def __init__(self, c: FreenessConstraint, alphabet: int) -> None:
+        self.min_period = c.min_period
+        self.num = c.threshold.numerator
+        self.den = c.threshold.denominator
+        self.strict = c.mode is Mode.STRICT
+        self.alphabet = alphabet
+        self.width, self.fmt = next(
+            (fmt for fmt in _FORMATS if alphabet <= 256 ** fmt[0]), _FORMATS[-1]
+        )
+        self.need = [0]  # need[0] is unused
+
+    def encode(self, letters) -> tuple[bytearray, MutableSequence[int]]:
+        """(buf, seq) holding `letters`; write further letters through seq."""
+        if self.alphabet > 256 ** self.width:
+            # only letter equality matters: relabel densely
+            ids: dict[int, int] = {}
+            letters = [ids.setdefault(x, len(ids)) for x in letters]
+        if self.width == 1:
+            buf = bytearray(letters)
+            return buf, buf
+        buf = bytearray(len(letters) * self.width)
+        seq = memoryview(buf).cast(self.fmt)
+        for i, x in enumerate(letters):
+            seq[i] = x
+        return buf, seq
+
+    def _grow(self, pmax: int) -> None:
+        need = self.need
+        num, den, strict = self.num, self.den, self.strict
+        for p in range(len(need), max(pmax + 1, 2 * len(need))):
+            need.append(_required_run(p, num, den, strict))
+
+    def first_period(self, buf: bytearray, seq: MutableSequence[int], pos: int) -> int:
+        """Smallest period of a forbidden occurrence ending at letter pos of
+        the word in buf (letters after pos are ignored), or 0.  The
+        occurrence is the factor of length p + need[p] ending at pos."""
+        # p + need[p] <= pos + 1 implies p * r <= pos + 1.
+        pmax = (pos + 1) * self.den // self.num
+        if pmax > pos:
+            pmax = pos
+        p = self.min_period
+        if pmax < p:
+            return 0
+        need = self.need
+        if pmax >= len(need):
+            self._grow(pmax)
+        top = pmax if pmax < _DIRECT_PERIODS else _DIRECT_PERIODS - 1
+        last = seq[pos]
+        while p <= top:
+            if seq[pos - p] == last:
+                m = need[p]
+                run = 1
+                i = pos - p - 1
+                while run < m and i >= 0 and seq[i] == seq[i + p]:
+                    run += 1
+                    i -= 1
+                if run >= m:
+                    return p
+            p += 1
+        k = self.width
+        end = (pos + 1) * k
+        while p <= pmax:
+            hi = 2 * p - 1 if 2 * p - 1 < pmax else pmax
+            m = need[p]
+            if p + m > pos + 1:
+                return 0  # p + need[p] only grows with p
+            mk = m * k
+            pattern = buf[end - mk : end]
+            first = (pos + 1 - hi - m) * k
+            stop = end - p * k  # copies end at letter pos - p or before
+            while True:
+                j = buf.rfind(pattern, first if first > 0 else 0, stop)
+                if j < 0:
+                    break
+                stop = j + mk - 1
+                if j % k:
+                    continue
+                q = (end - mk - j) // k
+                n = need[q]
+                if q + n <= pos + 1 and buf[end - n * k : end] == buf[end - (q + n) * k : end - q * k]:
+                    return q
+            p = hi + 1
+        return 0
 
 
 def min_repeat_distance(w: Word, n: int) -> int | None:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .detect import naive_oracle
-from .words import FreenessConstraint, Mode, Word, parse_word, render_word
+from .detect import ViolationKernel, naive_oracle
+from .words import FreenessConstraint, Mode, Word, fraction_json, parse_word, render_word
 
 __all__ = [
     "Outcome",
@@ -68,10 +68,7 @@ class SearchCertificate:
         doc: dict = {
             "alphabet": self.alphabet_size,
             "min_period": self.constraint.min_period,
-            "threshold": {
-                "num": self.constraint.threshold.numerator,
-                "den": self.constraint.threshold.denominator,
-            },
+            "threshold": fraction_json(self.constraint.threshold),
             "mode": self.constraint.mode.value,
             "outcome": self.outcome.value,
             "nodes_visited": self.nodes_visited,
@@ -132,6 +129,13 @@ def extend_search(
 
     nodes_visited counts attempted letter placements; with a node_budget the
     outcome BUDGET_EXCEEDED reports the deepest satisfying prefix found.
+
+    Each placement is checked by ``ViolationKernel.first_period`` at the new
+    letter only, which is exact: the prefix before it was already clean, so
+    any new forbidden occurrence ends at that letter.  The kernel keeps the
+    prefix in one byte buffer and finds long-period candidates with C-level
+    substring search, so the cost per node grows far slower with depth than
+    a letter-by-letter walk over every period.
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
@@ -145,12 +149,9 @@ def extend_search(
             raise ValueError("letter_order must be a permutation of range(alphabet_size)")
 
     a = alphabet_size
-    l = constraint.min_period
-    num = constraint.threshold.numerator
-    den = constraint.threshold.denominator
-    strict = constraint.mode is Mode.STRICT
-
-    letters = [0] * target_length
+    kernel = ViolationKernel(constraint, a)
+    first_period = kernel.first_period
+    buf, seq = kernel.encode([0] * target_length)
     next_choice = [0] * (target_length + 1)  # index into `order` per depth
     max_used = [0] * (target_length + 1)     # letters 0..max_used[d]-1 occur in prefix
     depth = 0
@@ -172,7 +173,7 @@ def extend_search(
 
     while True:
         if depth == target_length:
-            return make(Outcome.REACHED, Word(a, tuple(letters)))
+            return make(Outcome.REACHED, Word(a, tuple(seq)))
         c = next_choice[depth]
         mx = max_used[depth]
         placed = False
@@ -184,32 +185,8 @@ def extend_search(
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return make(Outcome.BUDGET_EXCEEDED, None)
-            letters[depth] = letter
-            # Incremental check: a new violation must end at the new letter.
-            pos = depth
-            pmax = (pos + 1) * den // num
-            if pmax > pos:
-                pmax = pos
-            ok = True
-            p = l
-            while p <= pmax:
-                if letters[pos - p] == letters[pos]:
-                    if strict:
-                        need = p * (num - den) // den + 1
-                    else:
-                        need = (p * (num - den) + den - 1) // den
-                        if need < 1:
-                            need = 1
-                    run = 1
-                    i = pos - p - 1
-                    while run < need and i >= 0 and letters[i] == letters[i + p]:
-                        run += 1
-                        i -= 1
-                    if run >= need:
-                        ok = False
-                        break
-                p += 1
-            if ok:
+            seq[depth] = letter
+            if not first_period(buf, seq, depth):
                 placed = True
                 break
         if placed:
@@ -285,14 +262,11 @@ class Bracket:
         )
 
     def to_jsonable(self) -> dict:
-        def frac(f: Fraction | None) -> dict | None:
-            return None if f is None else {"num": f.numerator, "den": f.denominator}
-
         return {
             "a": self.a,
             "l": self.l,
-            "r_lo": frac(self.r_lo),
-            "r_hi": frac(self.r_hi),
+            "r_lo": fraction_json(self.r_lo),
+            "r_hi": fraction_json(self.r_hi),
             "r_hi_strict_fallback": self.r_hi_strict_fallback,
             "c_hat": None if self.c_hat is None else float(self.c_hat),
             "certificates": [cert.to_jsonable() for cert in self.certificates],

@@ -29,6 +29,7 @@ __all__ = [
     "read_word_file",
     "parse_exponent",
     "exponent_of",
+    "fraction_json",
     "verify_occurrence",
 ]
 
@@ -146,6 +147,14 @@ def exponent_of(length: int, period: int) -> Fraction:
     if length < 1 or period < 1:
         raise ValueError(f"length and period must be >= 1, got {length}/{period}")
     return Fraction(length, period)
+
+
+def fraction_json(f: Fraction | None) -> dict | None:
+    """The artifacts' encoding of an exact rational: {"num": p, "den": q},
+    or None for None."""
+    if f is None:
+        return None
+    return {"num": f.numerator, "den": f.denominator}
 
 
 def parse_exponent(text: str) -> Fraction:

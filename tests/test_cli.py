@@ -384,3 +384,43 @@ def test_manifest_replay(capsys, tmp_path, argv, artifact):
         )
     else:
         assert first == second
+
+
+# --- failure contract: exit 2, one error line, nothing left on disk ----------------
+
+
+def assert_clean_failure(capsys, tmp_path, argv, keep=()):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(keep)
+
+
+def test_detect_missing_word_file_exits_2(capsys, tmp_path):
+    assert_clean_failure(
+        capsys, tmp_path,
+        ["detect", "--word-file", str(tmp_path / "missing.txt"), "--alphabet", "2"],
+    )
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    assert_clean_failure(
+        capsys, tmp_path,
+        ["search", "--alphabet", "2", "--threshold", "2/1", "--max-length", "8",
+         "--out", str(tmp_path / "blocker" / "run")],
+        keep=["blocker"],
+    )
+
+
+def test_rank_map_block_zero_exits_2(capsys, tmp_path):
+    assert_clean_failure(
+        capsys, tmp_path, ["construct", "rank-map", "--block", "0", "--radix", "2"]
+    )
+
+
+def test_bracket_max_denominator_zero_exits_2(capsys, tmp_path):
+    assert_clean_failure(
+        capsys, tmp_path, ["bracket", "--alphabet", "2", "--max-denominator", "0"]
+    )
