@@ -6,8 +6,8 @@ stdout; search, bracket, sample, construct and bounds additionally write
 their JSON/CSV artifacts plus a run manifest (command line, parameters,
 seed, version, output digests, timings) into --out, defaulting to a
 deterministic runs/<name>-<digest> directory derived from the parameters.
-The directory is created only once the result is complete, so a failed run
-leaves nothing behind.
+The directory is created only once the result is complete and all its
+files are written, so a failed run leaves nothing behind.
 
 Exit codes: 0 for any data result (an EXHAUSTED search is a successful
 result, not an error), 2 for malformed input or usage and for files that
@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -77,12 +78,6 @@ def main(argv: list[str] | None = None) -> int:
 # Artifact and manifest plumbing.
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -93,7 +88,9 @@ def _sha256(path: Path) -> str:
 
 class _Run:
     """Collects artifacts for one invocation.  Nothing touches the disk
-    before finish(), so a run that fails leaves no directory behind."""
+    before finish(), which writes every artifact and the manifest into a
+    staging directory beside the run directory and moves them in only once
+    all are written; a run that fails at any point leaves nothing behind."""
 
     def __init__(self, subcommand: str, params: dict, out: str | None, seed: int | None):
         self.subcommand = subcommand
@@ -113,22 +110,40 @@ class _Run:
         self.outputs[name] = data
 
     def finish(self, argv: list[str]) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        digests = {}
-        for name, data in self.outputs.items():
-            path = self.dir / name
-            _atomic_write(path, data)
-            digests[name] = _sha256(path)
-        manifest = {
-            "command": argv,
-            "subcommand": self.subcommand,
-            "parameters": self.params,
-            "seed": self.seed,
-            "version": __version__,
-            "outputs": digests,
-            "elapsed_ms": (time.perf_counter() - self.t0) * 1000.0,
-        }
-        _atomic_write(self.dir / "manifest.json", _json_text(manifest))
+        missing = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
+        stage = self.dir.parent / f".{self.dir.name}.tmp"
+        try:
+            self.dir.parent.mkdir(parents=True, exist_ok=True)
+            shutil.rmtree(stage, ignore_errors=True)
+            stage.mkdir()
+            digests = {}
+            for name, data in self.outputs.items():
+                (stage / name).write_text(data)
+                digests[name] = _sha256(stage / name)
+            manifest = {
+                "command": argv,
+                "subcommand": self.subcommand,
+                "parameters": self.params,
+                "seed": self.seed,
+                "version": __version__,
+                "outputs": digests,
+                "elapsed_ms": (time.perf_counter() - self.t0) * 1000.0,
+            }
+            (stage / "manifest.json").write_text(_json_text(manifest))
+            if self.dir.is_dir():
+                for path in stage.iterdir():
+                    os.replace(path, self.dir / path.name)
+                stage.rmdir()
+            else:
+                os.rename(stage, self.dir)
+        except OSError:
+            shutil.rmtree(stage, ignore_errors=True)
+            for d in missing:  # deepest first
+                try:
+                    d.rmdir()
+                except OSError:
+                    pass
+            raise
         print(f"artifacts written to {self.dir}", file=sys.stderr)
 
 

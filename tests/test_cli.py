@@ -424,3 +424,37 @@ def test_bracket_max_denominator_zero_exits_2(capsys, tmp_path):
     assert_clean_failure(
         capsys, tmp_path, ["bracket", "--alphabet", "2", "--max-denominator", "0"]
     )
+
+
+def test_failed_artifact_write_leaves_nothing(capsys, tmp_path, monkeypatch):
+    write_text = Path.write_text
+    calls = []
+
+    def failing_second_write(self, data, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device", str(self))
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_second_write)
+    assert_clean_failure(
+        capsys, tmp_path,
+        ["bracket", "--alphabet", "3", "--max-denominator", "2",
+         "--target-length", "20"],
+    )
+    assert calls == ["bracket.json", "sweep.csv"]
+
+
+def test_rerun_into_existing_out_replaces_artifacts(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "certificate.json").write_text("stale\n")
+    (out_dir / "notes.txt").write_text("kept\n")
+    code, _ = run_cli(
+        capsys, "search", "--alphabet", "2", "--threshold", "2/1",
+        "--max-length", "8", "--out", str(out_dir),
+    )
+    assert code == 0
+    assert read_json(out_dir / "certificate.json")["outcome"] == "EXHAUSTED"
+    assert (out_dir / "notes.txt").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
