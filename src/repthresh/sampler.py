@@ -14,13 +14,20 @@ lowest end position, ties broken by lowest start, then lowest period; the
 occurrence spans the full maximal match-run ending there.  Convergence is
 empirical (bounded by max_resamples) - no attempt is made to verify the
 local-lemma preconditions.
+
+Violations are found with ``detect.ViolationKernel.first_period``, the
+searcher's check.  After a resample of [s, e) the scan resumes at s, not at
+0, and this is exact: the event just resampled had the lowest end position,
+so no violation ended earlier, and an occurrence ending before s reads only
+letters before s, which the resample left unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import FreenessConstraint, Mode, Occurrence, Word, render_word
+from .detect import ViolationKernel
+from .words import FreenessConstraint, Occurrence, Word, render_word
 
 __all__ = [
     "SplitMix64",
@@ -86,41 +93,6 @@ class SamplerReport:
         }
 
 
-def _first_violation(
-    letters: list[int], l: int, num: int, den: int, strict: bool
-) -> Occurrence | None:
-    """Forbidden occurrence with minimal end position; ties by start, then
-    period.  Spans the full maximal match-run ending there."""
-    n = len(letters)
-    for pos in range(n):
-        pmax = (pos + 1) * den // num
-        if pmax > pos:
-            pmax = pos
-        best: tuple[int, int, int] | None = None
-        for p in range(l, pmax + 1):
-            if letters[pos - p] != letters[pos]:
-                continue
-            run = 1
-            i = pos - p - 1
-            while i >= 0 and letters[i] == letters[i + p]:
-                run += 1
-                i -= 1
-            if strict:
-                need = p * (num - den) // den + 1
-            else:
-                need = (p * (num - den) + den - 1) // den
-                if need < 1:
-                    need = 1
-            if run < need:
-                continue
-            start = pos - p - run + 1
-            if best is None or (start, p) < (best[0], best[1]):
-                best = (start, p, p + run)
-        if best is not None:
-            return Occurrence(*best)
-    return None
-
-
 def _run_sampler(
     alphabet_size: int,
     constraint: FreenessConstraint,
@@ -131,28 +103,46 @@ def _run_sampler(
         raise ValueError(
             f"alphabet size must be >= 2 for sampling, got {alphabet_size}"
         )
-    l = constraint.min_period
-    num = constraint.threshold.numerator
-    den = constraint.threshold.denominator
-    strict = constraint.mode is Mode.STRICT
+    # Letters are next_uint64() % a < 2**64, so a kernel sized for 2**64
+    # letters stores them as drawn, however large a is.
+    kernel = ViolationKernel(constraint, min(alphabet_size, 2**64))
+    need = kernel.need
     rng = SplitMix64(config.seed)
-    letters = [rng.letter(alphabet_size) for _ in range(config.target_length)]
+    n = config.target_length
+    buf, seq = kernel.encode([rng.letter(alphabet_size) for _ in range(n)])
     histogram: dict[int, int] = {}
     trace: list[tuple[Occurrence, int]] = []
-    count = 0
+    count = lo = 0
     while True:
-        occ = _first_violation(letters, l, num, den, strict)
-        if occ is None:
-            word = Word(alphabet_size, tuple(letters))
+        for pos in range(lo, n):
+            p = kernel.first_period(buf, seq, pos)
+            if p:
+                break
+        else:
+            word = Word(alphabet_size, tuple(seq))
             return SamplerReport(word, count, histogram, config.seed), trace
         if count >= config.max_resamples:
             return SamplerReport(None, count, histogram, config.seed), trace
+        # p is the smallest violating period ending at pos; walk the full run
+        # of every period from p on and keep the lowest start.
+        start, period, length = pos, 0, 0
+        for q in range(p, min(pos, (pos + 1) * kernel.den // kernel.num) + 1):
+            i = pos - q
+            while i >= 0 and seq[i] == seq[i + q]:
+                i -= 1
+            run = pos - q - i
+            if run >= need[q] and i + 1 < start:
+                start, period, length = i + 1, q, q + run
+        occ = Occurrence(start, period, length)
         count += 1
         histogram[occ.period] = histogram.get(occ.period, 0) + 1
         if record_trace:
             trace.append((occ, count))
         for i in range(occ.start, occ.end):
-            letters[i] = rng.letter(alphabet_size)
+            seq[i] = rng.letter(alphabet_size)
+        # Exact: no violation ended before pos, and the letters before
+        # occ.start are unchanged, so none ends before occ.start now.
+        lo = occ.start
 
 
 def sample_free_word(

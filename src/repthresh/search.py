@@ -19,7 +19,15 @@ from math import gcd
 from typing import Sequence
 
 from .detect import ViolationKernel, naive_oracle
-from .words import FreenessConstraint, Mode, Word, fraction_json, parse_word, render_word
+from .words import (
+    FreenessConstraint,
+    Mode,
+    Word,
+    fraction_from_json,
+    fraction_json,
+    parse_word,
+    render_word,
+)
 
 __all__ = [
     "Outcome",
@@ -86,7 +94,7 @@ class SearchCertificate:
         alphabet = doc["alphabet"]
         constraint = FreenessConstraint(
             doc["min_period"],
-            Fraction(doc["threshold"]["num"], doc["threshold"]["den"]),
+            fraction_from_json(doc["threshold"]),
             Mode(doc["mode"]),
         )
         witness = None
@@ -274,14 +282,11 @@ class Bracket:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "Bracket":
-        def frac(d: dict | None) -> Fraction | None:
-            return None if d is None else Fraction(d["num"], d["den"])
-
         return cls(
             a=doc["a"],
             l=doc["l"],
-            r_lo=frac(doc["r_lo"]),
-            r_hi=frac(doc["r_hi"]),
+            r_lo=fraction_from_json(doc["r_lo"]),
+            r_hi=fraction_from_json(doc["r_hi"]),
             r_hi_strict_fallback=doc["r_hi_strict_fallback"],
             certificates=[
                 SearchCertificate.from_jsonable(c) for c in doc["certificates"]

@@ -30,6 +30,7 @@ __all__ = [
     "parse_exponent",
     "exponent_of",
     "fraction_json",
+    "fraction_from_json",
     "verify_occurrence",
 ]
 
@@ -155,6 +156,13 @@ def fraction_json(f: Fraction | None) -> dict | None:
     if f is None:
         return None
     return {"num": f.numerator, "den": f.denominator}
+
+
+def fraction_from_json(d: dict | None) -> Fraction | None:
+    """Inverse of fraction_json."""
+    if d is None:
+        return None
+    return Fraction(d["num"], d["den"])
 
 
 def parse_exponent(text: str) -> Fraction:

@@ -1,13 +1,15 @@
-"""Reference implementation of the incremental violation check: the plain
+"""Reference implementations of the incremental violation check: the plain
 per-period backward walk that the searcher and ``violations_ending_at``
-used before the shared ``ViolationKernel``.  Tests hold the kernel equal to
-it, certificate field by certificate field."""
+used before the shared ``ViolationKernel``, and the sampler's rescan from
+position 0 after every resample.  Tests hold the kernel equal to the first,
+certificate field by certificate field, and the sampler equal to the
+second, trace by trace."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repthresh import FreenessConstraint, Mode, Occurrence, Word
+from repthresh import FreenessConstraint, Mode, Occurrence, SamplerConfig, SplitMix64, Word
 
 
 def _required_run(p: int, num: int, den: int, strict: bool) -> int:
@@ -83,3 +85,56 @@ def ref_extend_search(
             depth -= 1
             if depth < 0:
                 return "EXHAUSTED", sat_max, nodes, None
+
+
+def ref_first_violation(
+    letters: Sequence[int], l: int, num: int, den: int, strict: bool
+) -> Occurrence | None:
+    """The sampler's bad event by a rescan from position 0: the forbidden
+    occurrence with minimal end position, ties by start, then period,
+    spanning the full maximal match-run ending there."""
+    n = len(letters)
+    for pos in range(n):
+        pmax = min(pos, (pos + 1) * den // num)
+        best: tuple[int, int, int] | None = None
+        for p in range(l, pmax + 1):
+            if letters[pos - p] != letters[pos]:
+                continue
+            run = 1
+            i = pos - p - 1
+            while i >= 0 and letters[i] == letters[i + p]:
+                run += 1
+                i -= 1
+            if run < _required_run(p, num, den, strict):
+                continue
+            start = pos - p - run + 1
+            if best is None or (start, p) < (best[0], best[1]):
+                best = (start, p, p + run)
+        if best is not None:
+            return Occurrence(*best)
+    return None
+
+
+def ref_run_sampler(alphabet_size: int, c: FreenessConstraint, config: SamplerConfig):
+    """(word or None, resample_count, histogram, trace) of the Moser-Tardos
+    run that ``sample_free_word`` and ``resample_trace`` perform, rescanning
+    the whole word after every resample."""
+    num = c.threshold.numerator
+    den = c.threshold.denominator
+    strict = c.mode is Mode.STRICT
+    rng = SplitMix64(config.seed)
+    letters = [rng.letter(alphabet_size) for _ in range(config.target_length)]
+    histogram: dict[int, int] = {}
+    trace: list[tuple[Occurrence, int]] = []
+    count = 0
+    while True:
+        occ = ref_first_violation(letters, c.min_period, num, den, strict)
+        if occ is None:
+            return Word(alphabet_size, tuple(letters)), count, histogram, trace
+        if count >= config.max_resamples:
+            return None, count, histogram, trace
+        count += 1
+        histogram[occ.period] = histogram.get(occ.period, 0) + 1
+        trace.append((occ, count))
+        for i in range(occ.start, occ.end):
+            letters[i] = rng.letter(alphabet_size)

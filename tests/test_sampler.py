@@ -15,6 +15,7 @@ from repthresh import (
     resample_trace,
     sample_free_word,
 )
+from reference_kernel import ref_run_sampler
 
 
 def geq(l, num, den=1):
@@ -159,3 +160,58 @@ def test_report_json_shape():
     assert set(doc) == {"result", "resamples", "histogram", "seed"}
     assert doc["seed"] == 1
     assert all(isinstance(k, str) for k in doc["histogram"])
+
+
+# The sampler against the reference rescan from position 0
+# (tests/reference_kernel.py): same trace, word, resample count and
+# histogram.  The cap of 60 resamples keeps the non-converging cases of the
+# grid (thresholds at or below the repetition threshold) short.
+GRID_THRESHOLDS = [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+GRID_RUNS = [(24, 1), (64, 2), (256, 3)]  # (target length, sampler seed)
+
+
+def sampler_run(a, c, cfg):
+    report = sample_free_word(a, c, cfg)
+    return (
+        report.result,
+        report.resample_count,
+        report.violations_histogram,
+        resample_trace(a, c, cfg),
+    )
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 300, 2**70])
+def test_sampler_matches_reference_grid(a):
+    for l in range(1, 5):
+        for r in GRID_THRESHOLDS:
+            for mode in Mode:
+                c = FreenessConstraint(l, r, mode)
+                for length, seed in GRID_RUNS:
+                    cfg = SamplerConfig(seed, 60, length)
+                    assert sampler_run(a, c, cfg) == ref_run_sampler(a, c, cfg), (l, r, mode, length)
+
+
+@pytest.mark.parametrize(
+    "a, c, length",
+    [
+        (2, geq(3, 2), 64),  # many short-span resamples
+        (3, geq(2, 7, 4), 256),  # long spans over a long word
+        (4, FreenessConstraint(2, Fraction(3, 2), Mode.STRICT), 128),
+        (300, FreenessConstraint(1, Fraction(5, 4), Mode.STRICT), 256),
+    ],
+)
+def test_sampler_matches_reference_to_convergence(a, c, length):
+    for seed in range(3):
+        cfg = SamplerConfig(seed, 10**5, length)
+        run = sampler_run(a, c, cfg)
+        assert run[0] is not None
+        assert run == ref_run_sampler(a, c, cfg)
+
+
+def test_sampler_matches_reference_at_cap():
+    # binary squares are unavoidable beyond length 3: every run hits the cap
+    cfg = SamplerConfig(1, 2000, 10)
+    run = sampler_run(2, geq(1, 2), cfg)
+    assert run[0] is None and run[1] == 2000
+    assert run == ref_run_sampler(2, geq(1, 2), cfg)
+

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -308,6 +309,13 @@ def test_bracket_json_roundtrip():
     assert back.r_lo == bracket.r_lo and back.r_hi == bracket.r_hi
     assert len(back.certificates) == len(bracket.certificates)
     assert back.c_hat == bracket.c_hat
+
+
+def test_bracket_json_reencodes_byte_identically():
+    doc = bracket_threshold(2, 3, max_denominator=4, target_length=60).to_jsonable()
+    text = json.dumps(doc, sort_keys=True)
+    back = Bracket.from_jsonable(json.loads(text))
+    assert json.dumps(back.to_jsonable(), sort_keys=True) == text
 
 
 def test_bracket_summary_line():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from repthresh import (
     render_word,
     verify_occurrence,
 )
+from repthresh.words import fraction_from_json, fraction_json
 from conftest import periodic_prefix_oracle, random_word
 
 
@@ -161,3 +163,12 @@ def test_constraint_validation():
     assert geq.forbids(Fraction(3, 2))
     assert geq.forbids_occurrence(Occurrence(0, 2, 3))
     assert not geq.forbids_occurrence(Occurrence(0, 1, 2))  # period below minimum
+
+
+def test_fraction_json_roundtrip():
+    for f in [None, Fraction(7, 4), Fraction(2), Fraction(5, 4), Fraction(3**50, 2**61)]:
+        doc = json.loads(json.dumps(fraction_json(f)))
+        assert fraction_from_json(doc) == f
+        assert fraction_json(fraction_from_json(doc)) == doc
+    # an unreduced encoding decodes to the reduced rational
+    assert fraction_from_json({"num": 6, "den": 4}) == Fraction(3, 2)
