@@ -52,7 +52,6 @@ from .construct import (
     bound_report,
     build_mapped_word,
     colorize,
-    empirical_c,
     fov_lower_bound,
     fov_upper_main_term,
     growth_lambda,

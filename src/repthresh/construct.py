@@ -41,7 +41,6 @@ __all__ = [
     "fov_upper_main_term",
     "weak_upper_bound",
     "paper_upper_form",
-    "empirical_c",
     "BoundReport",
     "bound_report",
 ]
@@ -249,12 +248,6 @@ def paper_upper_form(c: float, a: int, l: int, sig_digits: int = 12) -> float:
         raise ValueError(f"constant must be > 0, got {c}")
     _check_al(a, l)
     return _round_sig(1 + c / (a * l), sig_digits)
-
-
-def empirical_c(r_hi: Fraction, a: int, l: int) -> Fraction:
-    """Fit of the constant: c_hat = (r_hi - 1) * a * l, exact."""
-    _check_al(a, l)
-    return (r_hi - 1) * a * l
 
 
 def _round_sig(x: float, digits: int) -> float:

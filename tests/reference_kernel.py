@@ -3,7 +3,12 @@ per-period backward walk that the searcher and ``violations_ending_at``
 used before the shared ``ViolationKernel``, and the sampler's rescan from
 position 0 after every resample.  Tests hold the kernel equal to the first,
 certificate field by certificate field, and the sampler equal to the
-second, trace by trace."""
+second, trace by trace.
+
+Also the detectors' former whole-word scanners, which visit every period: a
+byte-packed pair for alphabets up to 256 and a letter-by-letter pair above.
+Tests hold ``max_exponent`` and ``exists_repetition`` equal to them,
+witnesses included."""
 
 from __future__ import annotations
 
@@ -138,3 +143,131 @@ def ref_run_sampler(alphabet_size: int, c: FreenessConstraint, config: SamplerCo
         trace.append((occ, count))
         for i in range(occ.start, occ.end):
             letters[i] = rng.letter(alphabet_size)
+
+
+def ref_max_exponent(w: Word, min_period: int = 1) -> Occurrence | None:
+    """The witness ``max_exponent`` reports (maximal exponent, ties by
+    smallest start, then smallest period), by a scan of every period."""
+    if w.alphabet <= 256:
+        best = _scan_max_bytes(w.letters, min_period)
+    else:
+        best = _scan_max_generic(w.letters, min_period)
+    return None if best is None else Occurrence(*best)
+
+
+def ref_exists_repetition(w: Word, c: FreenessConstraint) -> Occurrence | None:
+    """The first forbidden maximal match-run in (period, start) order."""
+    if w.alphabet <= 256:
+        return _scan_threshold_bytes(w, c)
+    return _scan_threshold_generic(w, c)
+
+
+# For shift p the XOR of the word's little-endian integer image with itself
+# shifted by p bytes has a zero byte exactly where w[i] == w[i+p]; maximal
+# zero-byte blocks are the match-runs.  bytes.find locates a block of `need`
+# zeros in C.
+
+
+def _scan_threshold_bytes(w: Word, c: FreenessConstraint) -> Occurrence | None:
+    letters = w.letters
+    n = len(letters)
+    num = c.threshold.numerator
+    den = c.threshold.denominator
+    strict = c.mode is Mode.STRICT
+    x = int.from_bytes(bytes(letters), "little")
+    pmax = min(n - 1, n * den // num)
+    for p in range(c.min_period, pmax + 1):
+        limit = n - p
+        need = _required_run(p, num, den, strict)
+        if need > limit:
+            continue
+        z = (x ^ (x >> (8 * p))).to_bytes(n, "little")[:limit]
+        i = z.find(b"\x00" * need)
+        if i < 0:
+            continue
+        j = i + need
+        while j < limit and not z[j]:
+            j += 1
+        return Occurrence(i, p, p + (j - i))
+    return None
+
+
+def _scan_max_bytes(letters: tuple[int, ...], min_period: int):
+    n = len(letters)
+    x = int.from_bytes(bytes(letters), "little")
+    best = None  # (start, period, length)
+    best_num, best_den = 1, 1  # current maximum as length/period
+    for p in range(min_period, n):
+        limit = n - p
+        # only runs at least as good as the current best are interesting
+        need = (p * (best_num - best_den) + best_den - 1) // best_den
+        if need < 1:
+            need = 1
+        if need > limit:
+            continue
+        z = (x ^ (x >> (8 * p))).to_bytes(n, "little")[:limit]
+        block = b"\x00" * need
+        pos = 0
+        while True:
+            i = z.find(block, pos)
+            if i < 0:
+                break
+            j = i + need
+            while j < limit and not z[j]:
+                j += 1
+            run = j - i
+            d = (p + run) * best_den - best_num * p
+            if d > 0 or (
+                d == 0 and (best is None or (i, p) < (best[0], best[1]))
+            ):
+                best = (i, p, p + run)
+                best_num, best_den = p + run, p
+                need = (p * (best_num - best_den) + best_den - 1) // best_den
+                if need > limit:
+                    break
+                block = b"\x00" * need
+            pos = j + 1
+    return best
+
+
+def _iter_runs(letters: tuple[int, ...], p: int):
+    """Maximal match-runs (start, run_length) for shift p."""
+    limit = len(letters) - p
+    i = 0
+    while i < limit:
+        if letters[i] == letters[i + p]:
+            j = i + 1
+            while j < limit and letters[j] == letters[j + p]:
+                j += 1
+            yield i, j - i
+            i = j + 1
+        else:
+            i += 1
+
+
+def _scan_threshold_generic(w: Word, c: FreenessConstraint) -> Occurrence | None:
+    letters = w.letters
+    n = len(letters)
+    num = c.threshold.numerator
+    den = c.threshold.denominator
+    strict = c.mode is Mode.STRICT
+    pmax = min(n - 1, n * den // num)
+    for p in range(c.min_period, pmax + 1):
+        need = _required_run(p, num, den, strict)
+        for i, run in _iter_runs(letters, p):
+            if run >= need:
+                return Occurrence(i, p, p + run)
+    return None
+
+
+def _scan_max_generic(letters: tuple[int, ...], min_period: int):
+    n = len(letters)
+    best = None
+    best_num, best_den = 1, 1
+    for p in range(min_period, n):
+        for i, run in _iter_runs(letters, p):
+            d = (p + run) * best_den - best_num * p
+            if d > 0 or (d == 0 and (best is None or (i, p) < (best[0], best[1]))):
+                best = (i, p, p + run)
+                best_num, best_den = p + run, p
+    return best

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repthresh import (
+    Bracket,
     ColoringParams,
     Occurrence,
     Word,
     bound_report,
     build_mapped_word,
     colorize,
-    empirical_c,
     exists_repetition,
     fov_lower_bound,
     fov_upper_main_term,
@@ -306,8 +306,9 @@ def test_weak_upper_bound():
 def test_paper_upper_form_and_empirical_c():
     assert paper_upper_form(3, 2, 1) == 2.5
     assert paper_upper_form(2, 2, 2) == 1.5
-    assert empirical_c(Fraction(2), 2, 1) == Fraction(2)
-    assert empirical_c(Fraction(9, 5), 3, 1) == Fraction(12, 5)
+    # the empirical constant c_hat = (r_hi - 1) * a * l of a bracket
+    assert Bracket(2, 1, None, Fraction(2), False).c_hat == Fraction(2)
+    assert Bracket(3, 1, None, Fraction(9, 5), False).c_hat == Fraction(12, 5)
     with pytest.raises(ValueError):
         paper_upper_form(0, 2, 1)
 

@@ -148,7 +148,8 @@ def test_max_exponent_agrees_with_brute_force():
 
 
 def test_generic_path_large_alphabet():
-    # alphabets above 256 cannot use the byte-packed scanners
+    # alphabets above 256 are packed at two bytes per letter, and the
+    # scanners fold each letter's match to one byte
     rng = random.Random(11)
     for _ in range(150):
         w = random_word(rng, 300, rng.randint(1, 40))
@@ -238,6 +239,18 @@ def test_detect_with_constraint():
     assert rep.max_exponent == Fraction(2)
     rep = detect(w, 3, geq(4, 2))
     assert not rep.constraint_violated
+
+
+def test_detect_matches_separate_scans():
+    # equal periods take the verdict from the maximum; others scan again
+    rng = random.Random(17)
+    for _ in range(600):
+        w, c = _random_case(rng)
+        min_period = c.min_period if rng.random() < 0.5 else rng.randint(1, 8)
+        rep = detect(w, min_period, c)
+        me = max_exponent(w, min_period)
+        assert (rep.max_exponent, rep.witness) == (me.max_exponent, me.witness)
+        assert rep.constraint_violated == (exists_repetition(w, c) is not None)
 
 
 # --- min_repeat_distance ------------------------------------------------------
