@@ -3,8 +3,10 @@ exponent meets a threshold.
 
 Two independent routes are kept deliberately separate:
 
-* ``naive_oracle`` tries every (start, period) pair by direct letter
-  comparison.  It is the ground truth and stays dumb on purpose.
+* ``naive_oracle`` judges every maximal match-run of every period that
+  could reach the threshold, by direct letter comparison.  It is the
+  ground truth and stays dumb on purpose: no packing, no byte search, no
+  code shared with the scanners or the kernel.
 * ``exists_repetition`` / ``max_exponent`` scan match-runs per period
   (for each shift p, the maximal blocks where w[i] == w[i+p]; a block of
   length len gives the occurrence (i, p, p+len)).  One scanner pair serves
@@ -98,11 +100,19 @@ def _required_run(p: int, num: int, den: int, strict: bool) -> int:
 
 
 def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
-    """Ground-truth scan: try every (start, period >= min_period) pair.
+    """Ground-truth scan: judge every maximal match-run of every period
+    >= min_period that could reach the threshold, by direct comparison of
+    letters.
 
     Returns a forbidden occurrence of maximal exponent (ties: smallest
     start, then smallest period), or None.  Kept brutally simple; the fast
     scanners are tested against this.
+
+    Two skips leave the answer unchanged.  A start inside a maximal run
+    [s, e) gives a strictly shorter occurrence of the same period, which
+    never beats s and violates only when the full run does, so the scan
+    resumes at e + 1.  An occurrence is at most n letters long, so no
+    period above n*den/num (STRICT: at or above it) can violate.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
@@ -111,28 +121,32 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
     num = c.threshold.numerator
     den = c.threshold.denominator
     strict = c.mode is Mode.STRICT
+    pmax = (n * den - strict) // num
     best: Occurrence | None = None
     best_num = best_den = 1
-    for p in range(c.min_period, n):
-        for s in range(0, n - p):
+    for p in range(c.min_period, pmax + 1):
+        last = n - p
+        s = 0
+        while s < last:
             if letters[s] != letters[s + p]:
+                s += 1
                 continue
             e = s + 1
-            while e < n - p and letters[e] == letters[e + p]:
+            while e < last and letters[e] == letters[e + p]:
                 e += 1
             length = p + (e - s)
             # violates?  length/p >= num/den  (or strictly >)
             lhs, rhs = length * den, p * num
-            if lhs < rhs or (strict and lhs == rhs):
-                continue
-            if best is None:
-                better = True
-            else:
-                d = length * best_den - best_num * p
-                better = d > 0 or (d == 0 and (s, p) < (best.start, best.period))
-            if better:
-                best = Occurrence(s, p, length)
-                best_num, best_den = length, p
+            if lhs > rhs or (lhs == rhs and not strict):
+                if best is None:
+                    better = True
+                else:
+                    d = length * best_den - best_num * p
+                    better = d > 0 or (d == 0 and (s, p) < (best.start, best.period))
+                if better:
+                    best = Occurrence(s, p, length)
+                    best_num, best_den = length, p
+            s = e + 1
     return best
 
 

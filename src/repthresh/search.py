@@ -149,6 +149,8 @@ def extend_search(
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, got {target_length}")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if letter_order is None:
         order: tuple[int, ...] = tuple(range(alphabet_size))
     else:
@@ -318,6 +320,8 @@ def bracket_threshold(
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
     if min_period < 1:
         raise ValueError(f"min_period must be >= 1, got {min_period}")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if target_length is None:
         target_length = default_target_length(alphabet_size, min_period)
     grid = candidate_exponents(max_denominator, Fraction(1), Fraction(2))

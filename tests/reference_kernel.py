@@ -8,7 +8,11 @@ second, trace by trace.
 Also the detectors' former whole-word scanners, which visit every period: a
 byte-packed pair for alphabets up to 256 and a letter-by-letter pair above.
 Tests hold ``max_exponent`` and ``exists_repetition`` equal to them,
-witnesses included."""
+witnesses included.
+
+And the former ``naive_oracle``, which re-judges every start inside a
+match-run and tries every period below n.  Tests hold the oracle equal to
+it, witness and tie rule included."""
 
 from __future__ import annotations
 
@@ -143,6 +147,45 @@ def ref_run_sampler(alphabet_size: int, c: FreenessConstraint, config: SamplerCo
         trace.append((occ, count))
         for i in range(occ.start, occ.end):
             letters[i] = rng.letter(alphabet_size)
+
+
+def ref_naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
+    """Ground-truth scan: try every (start, period >= min_period) pair.
+
+    Returns a forbidden occurrence of maximal exponent (ties: smallest
+    start, then smallest period), or None.  Kept brutally simple; the fast
+    scanners are tested against this.
+    """
+    if len(w) < 1:
+        raise ValueError("word must be non-empty")
+    letters = w.letters
+    n = len(letters)
+    num = c.threshold.numerator
+    den = c.threshold.denominator
+    strict = c.mode is Mode.STRICT
+    best: Occurrence | None = None
+    best_num = best_den = 1
+    for p in range(c.min_period, n):
+        for s in range(0, n - p):
+            if letters[s] != letters[s + p]:
+                continue
+            e = s + 1
+            while e < n - p and letters[e] == letters[e + p]:
+                e += 1
+            length = p + (e - s)
+            # violates?  length/p >= num/den  (or strictly >)
+            lhs, rhs = length * den, p * num
+            if lhs < rhs or (strict and lhs == rhs):
+                continue
+            if best is None:
+                better = True
+            else:
+                d = length * best_den - best_num * p
+                better = d > 0 or (d == 0 and (s, p) < (best.start, best.period))
+            if better:
+                best = Occurrence(s, p, length)
+                best_num, best_den = length, p
+    return best
 
 
 def ref_max_exponent(w: Word, min_period: int = 1) -> Occurrence | None:

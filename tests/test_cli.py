@@ -426,6 +426,14 @@ def test_bracket_max_denominator_zero_exits_2(capsys, tmp_path):
     )
 
 
+def test_node_budget_below_one_exits_2(capsys, tmp_path):
+    for argv in (
+        ["search", "--alphabet", "2", "--threshold", "2", "--node-budget", "-1"],
+        ["bracket", "--alphabet", "2", "--node-budget", "0"],
+    ):
+        assert_clean_failure(capsys, tmp_path, argv)
+
+
 def test_failed_artifact_write_leaves_nothing(capsys, tmp_path, monkeypatch):
     write_text = Path.write_text
     calls = []

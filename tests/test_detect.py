@@ -19,6 +19,7 @@ from repthresh import (
     violations_ending_at,
 )
 from conftest import brute_max_exponent, random_word
+from reference_kernel import ref_naive_oracle
 
 
 def geq(l, num, den=1):
@@ -55,6 +56,67 @@ def test_naive_oracle_strict_vs_geq():
 def test_naive_oracle_empty_word():
     with pytest.raises(ValueError):
         naive_oracle(Word(2, ()), geq(1, 2))
+
+
+def test_naive_oracle_tie_across_periods():
+    # (6,1,2) is found first, at period 1; (0,3,6) has the same exponent 2
+    # at a larger period and wins by its smaller start
+    w = parse_word("01201233", 4)
+    assert naive_oracle(w, geq(1, 2)) == Occurrence(0, 3, 6)
+    assert naive_oracle(w, geq(1, 3, 2)) == Occurrence(0, 3, 6)
+    assert naive_oracle(w, strict(1, 2)) is None
+
+
+def test_naive_oracle_whole_word_at_last_period():
+    # the whole word is a repetition of period exactly n*den/num
+    for text, alphabet, num, den, p in (
+        ("01201", 3, 5, 3, 3),
+        ("0120120", 3, 7, 3, 3),
+        ("01230123", 4, 2, 1, 4),
+        ("0120", 3, 4, 3, 3),
+    ):
+        w = parse_word(text, alphabet)
+        for l in range(1, p + 1):
+            assert naive_oracle(w, geq(l, num, den)) == Occurrence(0, p, len(w))
+            assert naive_oracle(w, strict(l, num, den)) is None
+        assert naive_oracle(w, geq(p + 1, num, den)) is None
+
+
+def _oracle_grid_words():
+    rng = random.Random(2718)
+    words = [thue_morse(n) for n in (1, 2, 3, 5, 8, 13, 31, 32, 33, 60)]
+    for a in (1, 2, 3, 4, 300):
+        for planted in (False,) * 10 + (True,) * 10:
+            n = rng.randint(1, 60)
+            letters = [rng.randrange(a) for _ in range(n)]
+            if planted and n >= 2:
+                # one repetition of period p and exponent up to 3
+                p = rng.randint(1, max(1, n // 2))
+                length = min(n, p + rng.randint(1, 2 * p))
+                s = rng.randint(0, n - length)
+                for i in range(s + p, s + length):
+                    letters[i] = letters[i - p]
+            words.append(Word(a, tuple(letters)))
+    return words
+
+
+def test_naive_oracle_matches_reference():
+    """The oracle against its former every-start, every-period scan, witness
+    included.  Thresholds mix integers, fractions with denominators up to
+    12, and the exponents n/p of the whole word, where the last period that
+    can violate decides GEQ against STRICT."""
+    rng = random.Random(31415)
+    pool = sorted({Fraction(num, den) for den in range(1, 13)
+                   for num in range(den + 1, 3 * den + 1)})
+    for w in _oracle_grid_words():
+        n = len(w)
+        for l in (1, 2, 3, 4, 5, n, n + 1):
+            thresholds = {Fraction(2), Fraction(3), *rng.sample(pool, 4)}
+            thresholds.update(Fraction(n, p) for p in rng.sample(range(1, n), min(3, n - 1)))
+            for r in thresholds:
+                for mode in (Mode.GEQ, Mode.STRICT):
+                    c = FreenessConstraint(l, r, mode)
+                    assert naive_oracle(w, c) == ref_naive_oracle(w, c), (w, l, str(r), mode)
 
 
 # --- max_exponent -----------------------------------------------------------

@@ -106,6 +106,15 @@ def test_node_budget():
     assert cert.witness is None
 
 
+def test_node_budget_below_one_is_rejected():
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            extend_search(2, strict(1, 2), 200, node_budget=budget)
+        with pytest.raises(ValueError):
+            bracket_threshold(2, 1, max_denominator=2, target_length=20, node_budget=budget)
+    assert extend_search(2, strict(1, 2), 200, node_budget=1).nodes_visited == 2
+
+
 def test_extend_search_validation():
     with pytest.raises(ValueError):
         extend_search(0, geq(1, 2), 5)
