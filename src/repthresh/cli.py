@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Subcommands: detect, search, bracket, sample, construct (thue-morse,
-rank-map, colorize, witness, mapped-word), bounds.  Primary payloads go to
-stdout; search, bracket, sample, construct and bounds additionally write
-their JSON/CSV artifacts plus a run manifest (command line, parameters,
-seed, version, output digests, timings) into --out, defaulting to a
-deterministic runs/<name>-<digest> directory derived from the parameters.
-The directory is created only once the result is complete and all its
-files are written, so a failed run leaves nothing behind.
+rank-map, colorize, witness, mapped-word), bounds.  Every subcommand is a
+compute function, args -> _Result(artifacts, stdout, code, note), and
+main() runs each one the same way: parse, start the clock, compute, write
+the artifacts (if any) as a run, print the stdout payload, return the exit
+code.  search, bracket, sample, construct and bounds return JSON/CSV
+artifacts; the run holds them plus a manifest (command line, the parsed
+options as parameters, seed, version, output digests, timings) in --out,
+defaulting to a deterministic runs/<name>-<digest> directory derived from
+the parameters.  The directory is created only once all its files are
+written, so a failed run leaves nothing behind, and nothing is printed
+before that point.
 
 Exit codes: 0 for any data result (an EXHAUSTED search is a successful
 result, not an error), 2 for malformed input or usage and for files that
@@ -28,6 +32,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .construct import (
@@ -61,17 +66,33 @@ from .words import (
 
 __all__ = ["main"]
 
+# Parsed options that are not run parameters; every other option is
+# recorded in the manifest and named in the default run directory.
+_NOT_PARAMETERS = ("compute", "out", "subcommand", "construction", "text", "word_file")
+
+
+class _Result(NamedTuple):
+    artifacts: dict[str, str] | None  # file name -> contents, in write order
+    stdout: str
+    code: int = 0
+    note: str = ""  # one stderr line, printed only once the run is written
+
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.handler(args, list(argv))
+        result = args.compute(args)
+        if result.artifacts is not None:
+            _write_run(args, argv, result.artifacts, t0)
     except (WordFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(result.stdout, end="")
+    if result.note:
+        print(result.note, file=sys.stderr)
+    return result.code
 
 
 # ---------------------------------------------------------------------------
@@ -82,69 +103,63 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-class _Run:
-    """Collects artifacts for one invocation.  Nothing touches the disk
-    before finish(), which writes every artifact and the manifest into a
-    staging directory beside the run directory and moves them in only once
-    all are written; a run that fails at any point leaves nothing behind."""
-
-    def __init__(self, subcommand: str, params: dict, out: str | None, seed: int | None):
-        self.subcommand = subcommand
-        self.params = params
-        self.seed = seed
-        self.t0 = time.perf_counter()
-        if out is not None:
-            self.dir = Path(out)
+def _write_run(args, argv: list[str], artifacts: dict[str, str], t0: float) -> None:
+    """Write every artifact and the manifest into a staging directory beside
+    the run directory and move them in only once all are written; a run
+    that fails at any point leaves nothing behind."""
+    construction = getattr(args, "construction", None)
+    name = f"construct-{construction}" if construction else args.subcommand
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    if args.out is not None:
+        run_dir = Path(args.out)
+    else:
+        digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()[:10]
+        run_dir = Path("runs") / f"{name}-{digest}"
+    missing = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
+    stage = run_dir.parent / f".{run_dir.name}.tmp"
+    try:
+        run_dir.parent.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(stage, ignore_errors=True)
+        stage.mkdir()
+        digests = {}
+        for file_name, data in artifacts.items():
+            (stage / file_name).write_text(data)
+            digests[file_name] = _sha256(stage / file_name)
+        manifest = {
+            "command": argv,
+            "subcommand": name,
+            "parameters": params,
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "outputs": digests,
+            "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
+        }
+        (stage / "manifest.json").write_text(_json_text(manifest))
+        if run_dir.is_dir():
+            for path in stage.iterdir():
+                os.replace(path, run_dir / path.name)
+            stage.rmdir()
         else:
-            digest = hashlib.sha256(
-                json.dumps(params, sort_keys=True).encode()
-            ).hexdigest()[:10]
-            self.dir = Path("runs") / f"{subcommand}-{digest}"
-        self.outputs: dict[str, str] = {}
-
-    def write(self, name: str, data: str) -> None:
-        self.outputs[name] = data
-
-    def finish(self, argv: list[str]) -> None:
-        missing = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
-        stage = self.dir.parent / f".{self.dir.name}.tmp"
-        try:
-            self.dir.parent.mkdir(parents=True, exist_ok=True)
-            shutil.rmtree(stage, ignore_errors=True)
-            stage.mkdir()
-            digests = {}
-            for name, data in self.outputs.items():
-                (stage / name).write_text(data)
-                digests[name] = _sha256(stage / name)
-            manifest = {
-                "command": argv,
-                "subcommand": self.subcommand,
-                "parameters": self.params,
-                "seed": self.seed,
-                "version": __version__,
-                "outputs": digests,
-                "elapsed_ms": (time.perf_counter() - self.t0) * 1000.0,
-            }
-            (stage / "manifest.json").write_text(_json_text(manifest))
-            if self.dir.is_dir():
-                for path in stage.iterdir():
-                    os.replace(path, self.dir / path.name)
-                stage.rmdir()
-            else:
-                os.rename(stage, self.dir)
-        except OSError:
-            shutil.rmtree(stage, ignore_errors=True)
-            for d in missing:  # deepest first
-                try:
-                    d.rmdir()
-                except OSError:
-                    pass
-            raise
-        print(f"artifacts written to {self.dir}", file=sys.stderr)
+            os.rename(stage, run_dir)
+    except OSError:
+        shutil.rmtree(stage, ignore_errors=True)
+        for d in missing:  # deepest first
+            try:
+                d.rmdir()
+            except OSError:
+                pass
+        raise
+    print(f"artifacts written to {run_dir}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,177 +190,91 @@ def _constraint(args) -> FreenessConstraint:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Compute functions.  Each may write back into args a value it works out
+# (max_length, target_length, word), so that the manifest records it.
 
 
-def _cmd_detect(args, argv: list[str]) -> int:
+def _detect(args) -> _Result:
     w = _input_word(args)
     constraint = None
     if args.threshold is not None:
         constraint = _constraint(args)
     report = detect(w, args.min_period, constraint)
-    print(_json_text(report.to_jsonable()), end="")
-    return 0
+    return _Result(None, _json_text(report.to_jsonable()))
 
 
-def _cmd_search(args, argv: list[str]) -> int:
+def _search(args) -> _Result:
     constraint = _constraint(args)
-    target = args.max_length
-    if target is None:
-        target = default_target_length(args.alphabet, args.min_period)
-    params = {
-        "alphabet": args.alphabet,
-        "min_period": args.min_period,
-        "threshold": args.threshold,
-        "mode": args.mode,
-        "max_length": target,
-        "symmetry": not args.no_symmetry,
-        "node_budget": args.node_budget,
-    }
-    run = _Run("search", params, args.out, seed=None)
-    cert = extend_search(
-        args.alphabet,
-        constraint,
-        target,
-        symmetry=not args.no_symmetry,
-        node_budget=args.node_budget,
-    )
-    doc = cert.to_jsonable()
-    run.write("certificate.json", _json_text(doc))
-    run.finish(argv)
-    print(_json_text(doc), end="")
-    return 0
+    if args.max_length is None:
+        args.max_length = default_target_length(args.alphabet, args.min_period)
+    cert = extend_search(args.alphabet, constraint, args.max_length,
+                         symmetry=args.symmetry, node_budget=args.node_budget)
+    text = _json_text(cert.to_jsonable())
+    return _Result({"certificate.json": text}, text)
 
 
-def _cmd_bracket(args, argv: list[str]) -> int:
-    target = args.target_length
-    if target is None:
-        target = default_target_length(args.alphabet, args.min_period)
-    params = {
-        "alphabet": args.alphabet,
-        "min_period": args.min_period,
-        "max_denominator": args.max_denominator,
-        "target_length": target,
-        "node_budget": args.node_budget,
-    }
-    run = _Run("bracket", params, args.out, seed=None)
-    bracket = bracket_threshold(
-        args.alphabet,
-        args.min_period,
-        args.max_denominator,
-        target,
-        node_budget=args.node_budget,
-    )
-    run.write("bracket.json", _json_text(bracket.to_jsonable()))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "l", "num", "den", "mode", "outcome", "depth_or_length"])
+def _bracket(args) -> _Result:
+    if args.target_length is None:
+        args.target_length = default_target_length(args.alphabet, args.min_period)
+    bracket = bracket_threshold(args.alphabet, args.min_period, args.max_denominator,
+                                args.target_length, node_budget=args.node_budget)
+    rows = [["a", "l", "num", "den", "mode", "outcome", "depth_or_length"]]
     for cert in bracket.certificates:
+        c = cert.constraint
         depth_or_length = (
             len(cert.witness) if cert.outcome is Outcome.REACHED else cert.max_depth
         )
-        writer.writerow(
-            [
-                bracket.a,
-                bracket.l,
-                cert.constraint.threshold.numerator,
-                cert.constraint.threshold.denominator,
-                cert.constraint.mode.value,
-                cert.outcome.value,
-                depth_or_length,
-            ]
-        )
-    run.write("sweep.csv", buf.getvalue())
-    run.finish(argv)
-    print(bracket.summary_line())
-    return 0
-
-
-def _cmd_sample(args, argv: list[str]) -> int:
-    constraint = _constraint(args)
-    params = {
-        "alphabet": args.alphabet,
-        "min_period": args.min_period,
-        "threshold": args.threshold,
-        "mode": args.mode,
-        "length": args.length,
-        "seed": args.seed,
-        "max_resamples": args.max_resamples,
+        rows.append([bracket.a, bracket.l, c.threshold.numerator, c.threshold.denominator,
+                     c.mode.value, cert.outcome.value, depth_or_length])
+    artifacts = {
+        "bracket.json": _json_text(bracket.to_jsonable()),
+        "sweep.csv": _csv_text(rows),
     }
-    run = _Run("sample", params, args.out, seed=args.seed)
+    return _Result(artifacts, bracket.summary_line() + "\n")
+
+
+def _sample(args) -> _Result:
+    constraint = _constraint(args)
     config = SamplerConfig(args.seed, args.max_resamples, args.length)
     report = sample_free_word(args.alphabet, constraint, config)
-    run.write("report.json", _json_text(report.to_jsonable()))
+    text = _json_text(report.to_jsonable())
+    artifacts = {"report.json": text}
     if report.result is not None:
-        run.write("word.txt", render_word(report.result) + "\n")
-    run.finish(argv)
-    print(_json_text(report.to_jsonable()), end="")
-    return 0 if report.converged else 3
+        artifacts["word.txt"] = render_word(report.result) + "\n"
+    return _Result(artifacts, text, 0 if report.converged else 3)
 
 
-def _cmd_bounds(args, argv: list[str]) -> int:
-    params = {
-        "alphabet": args.alphabet,
-        "min_period": args.min_period,
-        "weak_log_base": args.weak_log_base,
-        "precision": args.precision,
-    }
+def _bounds(args) -> _Result:
     report = bound_report(
         args.alphabet, args.min_period, args.weak_log_base, args.precision
     )
-    run = _Run("bounds", params, args.out, seed=None)
-    run.write("bounds.json", _json_text(report.to_jsonable()))
-    run.finish(argv)
-    print(_json_text(report.to_jsonable()), end="")
-    return 0
+    text = _json_text(report.to_jsonable())
+    return _Result({"bounds.json": text}, text)
 
 
-def _cmd_construct_thue_morse(args, argv: list[str]) -> int:
-    params = {"length": args.length}
-    w = thue_morse(args.length)
-    run = _Run("construct-thue-morse", params, args.out, seed=None)
-    run.write("word.txt", render_word(w) + "\n")
-    run.finish(argv)
-    print(render_word(w))
-    return 0
+def _word_result(w: Word) -> _Result:
+    text = render_word(w) + "\n"
+    return _Result({"word.txt": text}, text)
 
 
-def _cmd_construct_rank_map(args, argv: list[str]) -> int:
-    params = {"radix": args.radix, "block": args.block}
-    rows = rank_map_table(args.radix, args.block)
-    run = _Run("construct-rank-map", params, args.out, seed=None)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "rank", "value"])
-    writer.writerows(rows)
-    run.write("ftable.csv", buf.getvalue())
-    run.finish(argv)
-    print(buf.getvalue(), end="")
-    print(
-        f"image size L = {rank_map_image_size(args.radix, args.block)}",
-        file=sys.stderr,
-    )
-    return 0
+def _construct_thue_morse(args) -> _Result:
+    return _word_result(thue_morse(args.length))
 
 
-def _cmd_construct_colorize(args, argv: list[str]) -> int:
-    params = {"alphabet": args.alphabet, "block": args.block, "base": args.base}
+def _construct_rank_map(args) -> _Result:
+    text = _csv_text([("index", "rank", "value"), *rank_map_table(args.radix, args.block)])
+    note = f"image size L = {rank_map_image_size(args.radix, args.block)}"
+    return _Result({"ftable.csv": text}, text, note=note)
+
+
+def _construct_colorize(args) -> _Result:
     base = parse_word(args.base, 2)
-    w = colorize(base, args.alphabet, args.block)
-    run = _Run("construct-colorize", params, args.out, seed=None)
-    run.write("word.txt", render_word(w) + "\n")
-    run.finish(argv)
-    print(render_word(w))
-    return 0
+    return _word_result(colorize(base, args.alphabet, args.block))
 
 
-def _cmd_construct_witness(args, argv: list[str]) -> int:
+def _construct_witness(args) -> _Result:
     w = _input_word(args)
-    params = {
-        "alphabet": args.alphabet,
-        "min_period": args.min_period,
-        "word": render_word(w),
-    }
+    args.word = render_word(w)
     occ = pigeonhole_witness(w, args.alphabet, args.min_period)
     doc = {
         "start": occ.start,
@@ -353,28 +282,13 @@ def _cmd_construct_witness(args, argv: list[str]) -> int:
         "length": occ.length,
         "exponent": fraction_json(occ.exponent),
     }
-    run = _Run("construct-witness", params, args.out, seed=None)
-    run.write("witness.json", _json_text(doc))
-    run.finish(argv)
-    print(_json_text(doc), end="")
-    return 0
+    text = _json_text(doc)
+    return _Result({"witness.json": text}, text)
 
 
-def _cmd_construct_mapped_word(args, argv: list[str]) -> int:
-    params = {
-        "source": args.source,
-        "alphabet": args.alphabet,
-        "radix": args.radix,
-        "block": args.block,
-        "length": args.length,
-    }
+def _construct_mapped_word(args) -> _Result:
     source = parse_word(args.source, args.alphabet)
-    w = build_mapped_word(source, args.radix, args.block, args.length)
-    run = _Run("construct-mapped-word", params, args.out, seed=None)
-    run.write("word.txt", render_word(w) + "\n")
-    run.finish(argv)
-    print(render_word(w))
-    return 0
+    return _word_result(build_mapped_word(source, args.radix, args.block, args.length))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-period", type=int, default=1)
     p.add_argument("--threshold", help="exponent threshold p/q")
     p.add_argument("--mode", choices=["geq", "strict"], default="geq")
-    p.set_defaults(handler=_cmd_detect)
+    p.set_defaults(compute=_detect)
 
     p = sub.add_parser("search", help="backtrack for an avoiding word")
     p.add_argument("--alphabet", type=int, required=True)
@@ -404,10 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", required=True)
     p.add_argument("--mode", choices=["geq", "strict"], default="geq")
     p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--no-symmetry", action="store_true")
+    p.add_argument("--no-symmetry", dest="symmetry", action="store_false")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_search)
+    p.set_defaults(compute=_search)
 
     p = sub.add_parser("bracket", help="sweep exponents to bracket the threshold")
     p.add_argument("--alphabet", type=int, required=True)
@@ -416,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-length", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=5_000_000)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_bracket)
+    p.set_defaults(compute=_bracket)
 
     p = sub.add_parser("sample", help="Moser-Tardos resampling")
     p.add_argument("--alphabet", type=int, required=True)
@@ -427,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-resamples", type=int, default=100_000)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_sample)
+    p.set_defaults(compute=_sample)
 
     p = sub.add_parser("bounds", help="closed-form bound formulas")
     p.add_argument("--alphabet", type=int, required=True)
@@ -435,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weak-log-base", type=float, default=None)
     p.add_argument("--precision", type=int, default=12)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_bounds)
+    p.set_defaults(compute=_bounds)
 
     pc = sub.add_parser("construct", help="explicit constructions")
     csub = pc.add_subparsers(dest="construction", required=True)
@@ -443,27 +357,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("thue-morse")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_construct_thue_morse)
+    p.set_defaults(compute=_construct_thue_morse)
 
     p = csub.add_parser("rank-map")
     p.add_argument("--radix", type=int, required=True, help="block radix m")
     p.add_argument("--block", type=int, required=True, help="block size l")
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_construct_rank_map)
+    p.set_defaults(compute=_construct_rank_map)
 
     p = csub.add_parser("colorize")
     p.add_argument("--alphabet", type=int, required=True, help="even target alphabet >= 6")
     p.add_argument("--block", type=int, required=True, help="color block size l")
     p.add_argument("--base", required=True, help="binary base word text")
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_construct_colorize)
+    p.set_defaults(compute=_construct_colorize)
 
     p = csub.add_parser("witness")
     _add_word_input(p)
     p.add_argument("--alphabet", type=int, required=True)
     p.add_argument("--min-period", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_construct_witness)
+    p.set_defaults(compute=_construct_witness)
 
     p = csub.add_parser("mapped-word")
     p.add_argument("--source", required=True, help="source word text")
@@ -472,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_construct_mapped_word)
+    p.set_defaults(compute=_construct_mapped_word)
 
     return parser
 

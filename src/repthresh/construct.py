@@ -87,6 +87,8 @@ def rank_map_image_size(m: int, l: int) -> int:
 def rank_map_block_extend(i: int, m: int, l: int) -> int:
     """f on all of N: block j >= 1 repeats the first block's pattern over
     fresh source positions, f(i + j*l) = f(i) + j*L."""
+    if l < 1:
+        raise ValueError(f"block size must be >= 1, got {l}")
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
     j, i0 = divmod(i, l)

@@ -322,6 +322,83 @@ def test_default_runs_directory(capsys, tmp_path):
     assert not list(dirs[0].glob("*.tmp"))
 
 
+# --- manifest parameters and default run names ------------------------------------
+# Literal values from runs of the version whose handlers built each parameter
+# dict by hand; the derived names must not drift from them.
+
+
+@pytest.mark.parametrize(
+    "argv, run_name, subcommand, seed, parameters",
+    [
+        (
+            ["search", "--alphabet", "3", "--threshold", "7/4"],
+            "search-6455f86ae6", "search", None,
+            {"alphabet": 3, "max_length": 200, "min_period": 1, "mode": "geq",
+             "node_budget": None, "symmetry": True, "threshold": "7/4"},
+        ),
+        (
+            ["bracket", "--alphabet", "2", "--min-period", "2", "--max-denominator", "3"],
+            "bracket-a116a9b712", "bracket", None,
+            {"alphabet": 2, "max_denominator": 3, "min_period": 2,
+             "node_budget": 5000000, "target_length": 200},
+        ),
+        (
+            ["sample", "--alphabet", "2", "--min-period", "3", "--threshold", "2/1",
+             "--length", "40", "--seed", "7"],
+            "sample-c67ce4d74c", "sample", 7,
+            {"alphabet": 2, "length": 40, "max_resamples": 100000, "min_period": 3,
+             "mode": "geq", "seed": 7, "threshold": "2/1"},
+        ),
+        (
+            ["bounds", "--alphabet", "3", "--min-period", "4", "--weak-log-base", "2.5"],
+            "bounds-0af44f2bab", "bounds", None,
+            {"alphabet": 3, "min_period": 4, "precision": 12, "weak_log_base": 2.5},
+        ),
+        (
+            ["construct", "thue-morse", "--length", "8"],
+            "construct-thue-morse-3e5660cb74", "construct-thue-morse", None,
+            {"length": 8},
+        ),
+        (
+            ["construct", "rank-map", "--radix", "2", "--block", "8"],
+            "construct-rank-map-8a65b7ea82", "construct-rank-map", None,
+            {"block": 8, "radix": 2},
+        ),
+        (
+            ["construct", "colorize", "--alphabet", "6", "--block", "1",
+             "--base", "000000"],
+            "construct-colorize-c4935dc5ce", "construct-colorize", None,
+            {"alphabet": 6, "base": "000000", "block": 1},
+        ),
+        (
+            ["construct", "witness", "--word-file", "w.txt", "--alphabet", "2"],
+            "construct-witness-6f4654b973", "construct-witness", None,
+            {"alphabet": 2, "min_period": 1, "word": "0110"},
+        ),
+        (
+            ["construct", "mapped-word", "--source", "0123456789", "--alphabet", "10",
+             "--radix", "2", "--block", "8", "--length", "8"],
+            "construct-mapped-word-ef4d9f42bc", "construct-mapped-word", None,
+            {"alphabet": 10, "block": 8, "length": 8, "radix": 2,
+             "source": "0123456789"},
+        ),
+    ],
+    ids=["search", "bracket", "sample", "bounds", "thue-morse", "rank-map", "colorize",
+         "witness", "mapped-word"],
+)
+def test_manifest_parameters_pinned(capsys, tmp_path, argv, run_name, subcommand, seed, parameters):
+    (tmp_path / "w.txt").write_text("# pinned\n0110\n")
+    assert main(argv) == 0
+    capsys.readouterr()
+    dirs = [d.name for d in (tmp_path / "runs").iterdir()]
+    assert dirs == [run_name]
+    manifest = read_json(tmp_path / "runs" / run_name / "manifest.json")
+    validate(manifest, "run_manifest")
+    assert manifest["subcommand"] == subcommand
+    assert manifest["seed"] == seed
+    assert manifest["parameters"] == parameters
+
+
 # --- manifest replay ---------------------------------------------------------------
 
 
@@ -404,20 +481,42 @@ def test_detect_missing_word_file_exits_2(capsys, tmp_path):
     )
 
 
-def test_unwritable_out_exits_2(capsys, tmp_path):
+# One argv per artifact-writing subcommand; each run succeeds when --out
+# is writable.
+WRITING_ARGVS = {
+    "search": ["search", "--alphabet", "2", "--threshold", "2/1", "--max-length", "8"],
+    "bracket": ["bracket", "--alphabet", "2", "--max-denominator", "2",
+                "--target-length", "20"],
+    "sample": ["sample", "--alphabet", "2", "--min-period", "3", "--threshold", "2/1",
+               "--length", "20"],
+    "bounds": ["bounds", "--alphabet", "2", "--min-period", "2"],
+    "thue-morse": ["construct", "thue-morse", "--length", "8"],
+    "rank-map": ["construct", "rank-map", "--radix", "2", "--block", "8"],
+    "colorize": ["construct", "colorize", "--alphabet", "6", "--block", "1",
+                 "--base", "000000"],
+    "witness": ["construct", "witness", "--text", "010", "--alphabet", "2"],
+    "mapped-word": ["construct", "mapped-word", "--source", "0123456789",
+                    "--alphabet", "10", "--radix", "2", "--block", "8", "--length", "8"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS.values(), ids=WRITING_ARGVS.keys())
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     (tmp_path / "blocker").write_text("a file, not a directory\n")
     assert_clean_failure(
         capsys, tmp_path,
-        ["search", "--alphabet", "2", "--threshold", "2/1", "--max-length", "8",
-         "--out", str(tmp_path / "blocker" / "run")],
+        [*argv, "--out", str(tmp_path / "blocker" / "run")],
         keep=["blocker"],
     )
 
 
 def test_rank_map_block_zero_exits_2(capsys, tmp_path):
-    assert_clean_failure(
-        capsys, tmp_path, ["construct", "rank-map", "--block", "0", "--radix", "2"]
-    )
+    for argv in (
+        ["construct", "rank-map", "--block", "0", "--radix", "2"],
+        ["construct", "mapped-word", "--source", "01", "--alphabet", "2",
+         "--radix", "2", "--block", "0", "--length", "3"],
+    ):
+        assert_clean_failure(capsys, tmp_path, argv)
 
 
 def test_bracket_max_denominator_zero_exits_2(capsys, tmp_path):

@@ -83,6 +83,12 @@ def test_rank_map_validation():
         rank_map_eval(-1, 2, 8)
 
 
+def test_rank_map_block_extend_rejects_block_below_one():
+    for l in (0, -1):
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            rank_map_block_extend(3, 2, l)
+
+
 def _rule_matches(i: int, m: int) -> list[int]:
     """Direct reading of the per-rank rules: rank k applies iff the low k-1
     base-m digits of i are all m-1 and the next digit is not."""
