@@ -108,6 +108,10 @@ def rank_map_table(m: int, l: int) -> list[tuple[int, int, int]]:
 
 def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
     """The pullback word tau with tau[i] = source[f(i)] for i < n."""
+    if m < 2:
+        raise ValueError(f"radix must be >= 2, got {m}")
+    if l < 1:
+        raise ValueError(f"block size must be >= 1, got {l}")
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     values = [rank_map_block_extend(i, m, l) for i in range(n)]

@@ -4,9 +4,12 @@ exponent meets a threshold.
 Two independent routes are kept deliberately separate:
 
 * ``naive_oracle`` judges every maximal match-run of every period that
-  could reach the threshold, by direct letter comparison.  It is the
-  ground truth and stays dumb on purpose: no packing, no byte search, no
-  code shared with the scanners or the kernel.
+  could reach the threshold, by direct letter comparison.  At period p a
+  violating run has at least m letters, so letters are compared only at
+  probes m-1 past the first index where an unjudged run can start, and a
+  probe that matches is widened both ways to its maximal run.  It is the
+  ground truth and stays dumb on purpose: no packing, no byte
+  search, no code shared with the scanners or the kernel.
 * ``exists_repetition`` / ``max_exponent`` scan match-runs per period
   (for each shift p, the maximal blocks where w[i] == w[i+p]; a block of
   length len gives the occurrence (i, p, p+len)).  One scanner pair serves
@@ -108,11 +111,18 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
     start, then smallest period), or None.  Kept brutally simple; the fast
     scanners are tested against this.
 
-    Two skips leave the answer unchanged.  A start inside a maximal run
-    [s, e) gives a strictly shorter occurrence of the same period, which
-    never beats s and violates only when the full run does, so the scan
-    resumes at e + 1.  An occurrence is at most n letters long, so no
-    period above n*den/num (STRICT: at or above it) can violate.
+    Three skips leave the answer unchanged.  An occurrence is at most n
+    letters long, so no period above n*den/num (STRICT: at or above it)
+    can violate.  At period p only match-runs of at least m letters
+    violate, m the least run with (p+m)/p meeting the threshold.  Letters
+    are compared only at probes: each probe is m-1 past the first index f
+    where an unjudged run can start (f = 0, then one past the last
+    mismatch), and a run of m or more letters from f on either covers the
+    probe or starts after it.  A probe that matches is widened both ways
+    to its maximal run [s, e), which is judged; a start inside [s, e)
+    gives a strictly shorter occurrence of the same period, which never
+    beats s and violates only when the full run does.  Then e is a
+    mismatch (or the end), so the next probe is e + m.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
@@ -122,16 +132,23 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
     den = c.threshold.denominator
     strict = c.mode is Mode.STRICT
     pmax = (n * den - strict) // num
+    # m = ceil(p*(num-den)/den), STRICT: floor(...) + 1
+    step = num - den
+    bias = den - 1 + strict
     best: Occurrence | None = None
     best_num = best_den = 1
     for p in range(c.min_period, pmax + 1):
         last = n - p
-        s = 0
-        while s < last:
-            if letters[s] != letters[s + p]:
-                s += 1
+        m = (p * step + bias) // den
+        i = m - 1
+        while i < last:
+            if letters[i] != letters[i + p]:
+                i += m
                 continue
-            e = s + 1
+            s = i
+            while s and letters[s - 1] == letters[s - 1 + p]:
+                s -= 1
+            e = i + 1
             while e < last and letters[e] == letters[e + p]:
                 e += 1
             length = p + (e - s)
@@ -146,7 +163,7 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
                 if better:
                     best = Occurrence(s, p, length)
                     best_num, best_den = length, p
-            s = e + 1
+            i = e + m
     return best
 
 

@@ -519,6 +519,16 @@ def test_rank_map_block_zero_exits_2(capsys, tmp_path):
         assert_clean_failure(capsys, tmp_path, argv)
 
 
+def test_mapped_word_bad_radix_or_block_at_length_zero_exits_2(capsys, tmp_path):
+    # an empty word maps no index, so the options are checked up front
+    for radix, block in (("1", "0"), ("1", "8"), ("2", "0")):
+        assert_clean_failure(
+            capsys, tmp_path,
+            ["construct", "mapped-word", "--source", "01", "--alphabet", "2",
+             "--radix", radix, "--block", block, "--length", "0"],
+        )
+
+
 def test_bracket_max_denominator_zero_exits_2(capsys, tmp_path):
     assert_clean_failure(
         capsys, tmp_path, ["bracket", "--alphabet", "2", "--max-denominator", "0"]

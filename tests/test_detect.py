@@ -119,6 +119,91 @@ def test_naive_oracle_matches_reference():
                     assert naive_oracle(w, c) == ref_naive_oracle(w, c), (w, l, str(r), mode)
 
 
+def _min_violating_run(p, c):
+    """Least run r >= 1 with (p + r)/p meeting the threshold, by search."""
+    r = 1
+    while not c.forbids(Fraction(p + r, p)):
+        r += 1
+    return r
+
+
+def _planted_runs(n, p, runs):
+    """A word of n distinct letters, except that w[s+p+i] = w[s+i] for each
+    (s, run) in runs and i < run: its match-runs at period p are exactly
+    the [s, s+run), given ascending and at least one index apart."""
+    letters = list(range(n))
+    for s, run in runs:
+        for i in range(s, s + run):
+            letters[i + p] = letters[i]
+    return Word(n, tuple(letters))
+
+
+def test_naive_oracle_probe_boundaries():
+    """Match-runs of m-1, m and m+1 letters (m the minimal violating run)
+    at every offset mod m, ending inside the word or at its last
+    comparable index, alone or followed after one mismatch by a run of m
+    letters.  Thresholds include ones where m = 1 for small p (11/10, 6/5,
+    GEQ 2 at p = 1)."""
+    thresholds = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(7, 4),
+                  Fraction(5, 3), Fraction(6, 5), Fraction(11, 10), Fraction(7, 3)]
+    checked_m1 = 0
+    for r in thresholds:
+        for mode in (Mode.GEQ, Mode.STRICT):
+            for p in range(1, 7):
+                m = _min_violating_run(p, FreenessConstraint(1, r, mode))
+                checked_m1 += m == 1
+                for run in (m - 1, m, m + 1):
+                    if run < 1:
+                        continue
+                    for s in range(m):
+                        first = Occurrence(s, p, p + run) if run >= m else None
+                        e = s + run
+                        for runs, tail, want in (
+                            ([(s, run)], 0, first),
+                            ([(s, run)], 2, first),
+                            ([(s, run), (e + 1, m)], 1, first or Occurrence(e + 1, p, p + m)),
+                        ):
+                            end = max(t + k for t, k in runs)
+                            w = _planted_runs(end + p + tail, p, runs)
+                            c = FreenessConstraint(p, r, mode)
+                            got = naive_oracle(w, c)
+                            assert got == ref_naive_oracle(w, c), (p, runs, tail, str(r), mode)
+                            # multiples of p copy the runs with a lower exponent
+                            assert got == want
+                            c1 = FreenessConstraint(1, r, mode)
+                            assert naive_oracle(w, c1) == ref_naive_oracle(w, c1)
+    assert checked_m1 >= 10
+
+
+def test_naive_oracle_long_words_match_reference():
+    """Words of 400-600 letters, where the probe stride m is far above 1,
+    against the every-start, every-period reference."""
+    for n in (511, 512):
+        w = thue_morse(n)
+        for l in (1, 5):
+            assert naive_oracle(w, strict(l, 2)) is None
+            assert ref_naive_oracle(w, strict(l, 2)) is None
+        occ = naive_oracle(w, geq(40, 2))
+        assert occ is not None and occ == ref_naive_oracle(w, geq(40, 2))
+    rng = random.Random(4242)
+    for a in (2, 3):
+        for _ in range(2):
+            n = rng.randint(400, 600)
+            letters = [rng.randrange(a) for _ in range(n)]
+            for _ in range(3):
+                # planted repetitions of period 20-150 and exponent 1.3-2.1
+                p = rng.randint(20, 150)
+                length = min(n, p + rng.randint(3 * p // 10, 11 * p // 10))
+                s = rng.randint(0, n - length)
+                for i in range(s + p, s + length):
+                    letters[i] = letters[i - p]
+            w = Word(a, tuple(letters))
+            for l in (1, 16):
+                for r in (Fraction(3, 2), Fraction(7, 4)):
+                    c = FreenessConstraint(l, r, Mode.GEQ)
+                    assert naive_oracle(w, c) == ref_naive_oracle(w, c), (w, l, str(r))
+
+
 # --- max_exponent -----------------------------------------------------------
 
 
