@@ -46,12 +46,19 @@ __all__ = [
 ]
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def thue_morse(n: int) -> Word:
     """Length-n prefix of the Thue-Morse sequence: t[i] = parity of the
     popcount of i, so t[0] = 0, t[2i] = t[i], t[2i+1] = 1 - t[i]."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    return Word(2, tuple(i.bit_count() & 1 for i in range(n)))
+    # the first 2^(k+1) letters are the first 2^k followed by their complement
+    t = b"\x00"
+    while len(t) < n:
+        t += t.translate(_FLIP)
+    return Word(2, tuple(t[:n]))
 
 
 def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:

@@ -31,6 +31,16 @@ Two independent routes are kept deliberately separate:
   The worst case is still quadratic: the filter only skips periods that
   cannot carry a long enough run.
 
+  Two more skips are exact.  Both scanners start at the closest distance d
+  between two equal letters when it exceeds the minimum period, since no
+  shorter period has a single match; d comes from one pass over the
+  letters that stops once d is at most the minimum.  And ``max_exponent``
+  looks only for runs that would replace its best (start s): periods go
+  up, so a later run wins only with a larger exponent, or with the same
+  exponent and a start before s.  Runs as long as the best are searched
+  only among starts below s, strictly longer ones from s on; every run
+  found wins, so none is judged in vain.
+
 ``ViolationKernel`` is the one incremental check, used by the backtracking
 searcher and by ``violations_ending_at``: when a word grows by one letter,
 any new violation must end at that letter.  It keeps the minimal violating
@@ -173,6 +183,18 @@ def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:
     The witness is the maximal match-run attaining it (ties: smallest start,
     then smallest period).  Returns a report with max_exponent None when the
     word has no repetition at the queried periods.
+
+    Only runs that can still change the answer are looked for.  Periods
+    go up, so once a best exists (start s), a run at a later period beats
+    it only with a larger exponent, or with the same exponent and a start
+    before s.  At each period a block of zeros as long as a tying run is
+    searched for only among starts below s; failing that, a block as long
+    as a strictly better run from s on.  When no tying block starts below
+    s, no run that starts there is long enough to hold a better block, so
+    every hit starts a maximal run, and that run wins.  After a win at
+    start i the rest of the period starts past i, so only strictly longer
+    runs can win again.  Periods below the closest distance between equal
+    letters have no match at all and are not scanned.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
@@ -182,37 +204,32 @@ def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:
     k, buf, x = _pack(w)
     best = None  # (start, period, length)
     best_num, best_den = 1, 1  # current maximum as length/period
-    lo = min_period
+    s = n  # start of the best; n while there is none
+    lo = _period_floor(w.letters, min_period)
     while lo < n:
         hi = min(2 * lo - 1, n - 1)
         # need only grows with the maximum, so need at lo bounds the band
         need = _required_run(lo, best_num, best_den, False)
         for p in _candidate_periods(buf, k, lo, hi, need):
             limit = n - p
-            # only runs at least as good as the current best are interesting
             need = _required_run(p, best_num, best_den, False)
             if need > limit:
                 continue
             z = _match_vector(x, n, k, p)
-            block = b"\x00" * need
-            pos = 0
-            while True:
-                i = z.find(block, pos)
-                if i < 0:
-                    break
+            # a run as good as the best wins only if it starts before s:
+            # the end bound keeps the block's start below s
+            i = z.find(b"\x00" * need, 0, s + need - 1)
+            if i < 0:
+                need = _required_run(p, best_num, best_den, True)
+                i = z.find(b"\x00" * need, s)
+            while i >= 0:
                 j = i + need
                 while j < limit and not z[j]:
                     j += 1
-                run = j - i
-                d = (p + run) * best_den - best_num * p
-                if d > 0 or (d == 0 and (best is None or (i, p) < (best[0], best[1]))):
-                    best = (i, p, p + run)
-                    best_num, best_den = p + run, p
-                    need = _required_run(p, best_num, best_den, False)
-                    if need > limit:
-                        break
-                    block = b"\x00" * need
-                pos = j + 1
+                best = (i, p, p + j - i)
+                best_num, best_den, s = p + j - i, p, i
+                need = j - i + 1  # the rest of p starts past i: only longer runs win
+                i = z.find(b"\x00" * need, j + 1)
         lo = hi + 1
     if best is None:
         return DetectionReport(None, None)
@@ -235,7 +252,7 @@ def exists_repetition(w: Word, c: FreenessConstraint) -> Occurrence | None:
     strict = c.mode is Mode.STRICT
     k, buf, x = _pack(w)
     pmax = min(n - 1, n * den // num)
-    lo = c.min_period
+    lo = _period_floor(w.letters, c.min_period)
     while lo <= pmax:
         hi = min(2 * lo - 1, pmax)
         # need is non-decreasing in p, so need at lo bounds the band
@@ -472,6 +489,22 @@ def _pack(w: Word) -> tuple[int, bytes, int]:
     """(k, buf, x): bytes per letter, the packed word, and its integer image."""
     buf = bytes(_encode(w.letters, w.alphabet)[0])
     return _letter_format(w.alphabet)[0], buf, int.from_bytes(buf, "little")
+
+
+def _period_floor(letters, min_period: int) -> int:
+    """max(min_period, d), d the least distance between two equal letters
+    (len(letters) when all differ): no shorter period has a single match.
+    The pass stops as soon as d <= min_period."""
+    d = len(letters)
+    last: dict = {}
+    for i, x in enumerate(letters):
+        j = last.get(x)
+        if j is not None and i - j < d:
+            d = i - j
+            if d <= min_period:
+                return min_period
+        last[x] = i
+    return max(d, min_period)
 
 
 def _match_vector(x: int, n: int, k: int, p: int) -> bytes:

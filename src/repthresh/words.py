@@ -127,6 +127,11 @@ class FreenessConstraint:
     def __post_init__(self) -> None:
         if self.min_period < 1:
             raise ValueError(f"min_period must be >= 1, got {self.min_period}")
+        if isinstance(self.threshold, float):
+            # Fraction(1.1) is the binary double, not 11/10
+            raise ValueError(
+                f"threshold {self.threshold!r} is a float; pass a Fraction, an int or \"p/q\""
+            )
         if not isinstance(self.threshold, Fraction):
             object.__setattr__(self, "threshold", Fraction(self.threshold))
         if self.threshold <= 1:

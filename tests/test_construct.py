@@ -44,6 +44,11 @@ def test_thue_morse_goldens():
     assert len(thue_morse(0)) == 0
 
 
+def test_thue_morse_matches_popcount_parity():
+    for n in [*range(1101), 2**15 - 1, 2**15 + 1]:
+        assert thue_morse(n).letters == tuple(i.bit_count() & 1 for i in range(n)), n
+
+
 def test_thue_morse_recurrence():
     t = thue_morse(2**16).letters
     assert t[0] == 0

@@ -9,8 +9,10 @@ import random
 from fractions import Fraction
 
 from repthresh import (
+    DetectionReport,
     FreenessConstraint,
     Mode,
+    Occurrence,
     Word,
     colorize,
     exists_repetition,
@@ -84,3 +86,88 @@ def test_exists_repetition_matches_reference(monkeypatch):
                         monkeypatch.setattr(detect_module, "_FILTER_MIN_WORK", cut)
                         got = exists_repetition(w, c)
                         assert got == ref, (w.alphabet, len(w), l, str(r), mode, cut)
+
+
+# --- the prunings of max_exponent and the period floor ---------------------
+#
+# Words of distinct letters, alphabet 256 (one byte per letter) or 300 (two
+# bytes, letters on both sides of 256), with repetitions copied in, in order.
+# The first planted repetition, A, is the first best the scan meets.
+
+
+def _planted(alphabet, n, occurrences):
+    letters = [alphabet - 1 - i for i in range(n)]
+    for s, p, length in occurrences:
+        for i in range(s + p, s + length):
+            letters[i] = letters[i - p]
+    return Word(alphabet, tuple(letters))
+
+
+A = (40, 10, 13)  # exponent 13/10, start 40
+B = (100, 10, 13)
+PRUNING_CASES = [
+    # (planted, expected witness)
+    ([A, (39, 20, 26)], (39, 20, 26)),  # equal exponent, later period, start 39: wins
+    ([A, (40, 20, 26)], A),  # equal exponent, later period, same start: loses
+    ([A, (70, 15, 21)], (70, 15, 21)),  # 7/5 after A: wins
+    ([A, (40, 20, 28)], (40, 20, 28)),  # 7/5 at A's start: wins
+    ([A, (30, 12, 17)], (30, 12, 17)),  # 17/12 before A: wins
+    # the tie at 39 wins, then a longer run of the same period further on
+    ([A, (39, 20, 26), (100, 20, 28)], (100, 20, 28)),
+    # the tie at 39 wins; a second tie of that period, further on, loses
+    ([A, (39, 20, 26), (100, 20, 26)], (39, 20, 26)),
+    # two ties before B: each later period must start earlier still to win
+    ([B, (60, 20, 26), (10, 30, 39)], (10, 30, 39)),
+    ([B, (60, 30, 39), (10, 20, 26)], (10, 20, 26)),
+]
+
+
+def _check_scanners(monkeypatch, w, min_periods, thresholds):
+    for l in min_periods:
+        ref = ref_max_exponent(w, l)
+        for cut in CUTOFFS:
+            monkeypatch.setattr(detect_module, "_FILTER_MIN_WORK", cut)
+            rep = max_exponent(w, l)
+            assert rep.witness == ref, (w.alphabet, len(w), l, cut)
+            assert rep.max_exponent == (None if ref is None else ref.exponent)
+            for r in thresholds:
+                for mode in (Mode.GEQ, Mode.STRICT):
+                    c = FreenessConstraint(l, r, mode)
+                    assert exists_repetition(w, c) == ref_exists_repetition(w, c), (l, str(r), mode, cut)
+
+
+def test_max_exponent_tie_and_better_pruning(monkeypatch):
+    exponents = (Fraction(13, 10), Fraction(7, 5), Fraction(17, 12))
+    for alphabet in (256, 300):
+        for planted, expected in PRUNING_CASES:
+            w = _planted(alphabet, 140, planted)
+            assert ref_max_exponent(w, 1) == Occurrence(*expected)
+            _check_scanners(monkeypatch, w, (1, 10, 11), exponents)
+
+
+def test_period_floor_at_closest_equal_letters(monkeypatch):
+    for alphabet in (256, 300):
+        for l in (4, 20):
+            for d in (l - 1, l, l + 1):
+                # one pair of equal letters at distance l + 3, then the closest at d
+                w = _planted(alphabet, 120, [(5, l + 3, l + 4), (60, d, d + 1)])
+                expected = (60, d, d + 1) if d >= l else (5, l + 3, l + 4)
+                assert ref_max_exponent(w, l) == Occurrence(*expected)
+                thresholds = (Fraction(l + 4, l + 3), Fraction(l + 2, l + 1), Fraction(l + 1, l))
+                _check_scanners(monkeypatch, w, (l,), thresholds)
+
+
+def test_all_letters_distinct_give_none(monkeypatch):
+    for alphabet, n in ((256, 1), (256, 2), (256, 256), (300, 300), (2**33, 50)):
+        w = _planted(alphabet, n, [])
+        for l in (1, 4):
+            assert max_exponent(w, l) == DetectionReport(None, None)
+        _check_scanners(monkeypatch, w, (1, 4), (Fraction(11, 10), Fraction(2)))
+
+
+def test_lifts_match_reference(monkeypatch):
+    for a in (6, 300):
+        for block in (1, 4, 20):
+            for n in (150, 599):
+                w = colorize(thue_morse(n), a, block)
+                _check_scanners(monkeypatch, w, MIN_PERIODS, (Fraction(11, 10), Fraction(2)))

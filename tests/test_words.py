@@ -165,6 +165,17 @@ def test_constraint_validation():
     assert not geq.forbids_occurrence(Occurrence(0, 1, 2))  # period below minimum
 
 
+def test_constraint_rejects_float_threshold():
+    # Fraction(1.1) would be 2476979795053773/2251799813685248, just above
+    # 11/10, so a GEQ check would let an exponent of exactly 11/10 through
+    for r in (1.1, 2.0, float("inf")):
+        with pytest.raises(ValueError, match="float; pass a Fraction, an int or"):
+            FreenessConstraint(1, r)
+    assert FreenessConstraint(1, "11/10").threshold == Fraction(11, 10)
+    assert FreenessConstraint(1, 2).threshold == Fraction(2)
+    assert FreenessConstraint(1, "11/10").forbids(Fraction(11, 10))
+
+
 def test_fraction_json_roundtrip():
     for f in [None, Fraction(7, 4), Fraction(2), Fraction(5, 4), Fraction(3**50, 2**61)]:
         doc = json.loads(json.dumps(fraction_json(f)))
