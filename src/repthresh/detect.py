@@ -26,8 +26,10 @@ Two independent routes are kept deliberately separate:
   such a run.  The filter is exact because the ``need`` taken at the
   band's first period bounds the whole band: for ``exists_repetition``
   need is non-decreasing in p, and for ``max_exponent`` it only grows as
-  the best exponent so far grows.  Each candidate is scanned in full, so
-  the witnesses and their tie rules are those of a scan of every period.
+  the best exponent so far grows, so after a win ``max_exponent`` filters
+  the rest of the band again with the new need.  Each candidate is
+  scanned in full, so the witnesses and their tie rules are those of a
+  scan of every period.
   The worst case is still quadratic: the filter only skips periods that
   cannot carry a long enough run.
 
@@ -42,18 +44,28 @@ Two independent routes are kept deliberately separate:
   found wins, so none is judged in vain.
 
 ``ViolationKernel`` is the one incremental check, used by the backtracking
-searcher and by ``violations_ending_at``: when a word grows by one letter,
-any new violation must end at that letter.  It keeps the minimal violating
-run ``need[p]`` per period (grown lazily with the word) and the prefix as a
-byte buffer.  Periods below ``_DIRECT_PERIODS`` are compared letter by
-letter; larger ones go in doubling bands [p, 2p-1].  Since need is
-non-decreasing in p, a violation at any period p' of the band needs the
-suffix of length need[p] to recur exactly p' letters earlier, so
-``bytearray.rfind`` lists every candidate period in C, ascending, and one
-slice comparison of length need[p'] confirms each.  The answer is exactly
-the smallest violating period that a letter-by-letter walk would find.
+searcher, the sampler and ``violations_ending_at``: when a word grows by
+one letter, any new violation must end at that letter.  It keeps the
+minimal violating run ``need[p]`` per period (grown lazily with the word)
+and the prefix as a byte buffer.  Periods below ``_DIRECT_PERIODS`` are
+compared letter by letter; larger ones go in doubling bands [P, 2P-1].
+Since need is non-decreasing in p, a violation at any period q of the band
+has a match-run of at least m = need[P] ending at the new letter, so
+``bytearray.rfind`` of a suffix lists every candidate period in C,
+ascending, and one slice comparison of length need[q] confirms each.
 
-Apart from the kernel's ``need`` table, nothing is cached across calls.
+A band search is kept and reused for the positions that follow it.  A run
+of at least m ending at pos holds a run of at least h = ceil(m/2) ending
+at each of the m-h letters before pos, so one search for the length-h
+suffix ending at c = pos-1 lists every period of the band that can
+violate at any position from c+1 to c+m-h; there the periods found are
+only confirmed.  Bands with m = 1 are searched at every call.  A kept
+search reads letters up to c, so callers call at the lowest changed
+position first (see ``ViolationKernel``).  The answer is exactly the
+smallest violating period that a letter-by-letter walk would find.
+
+Apart from the kernel's ``need`` table and its kept band searches, nothing
+is cached across calls.
 """
 
 from __future__ import annotations
@@ -193,8 +205,9 @@ def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:
     s, no run that starts there is long enough to hold a better block, so
     every hit starts a maximal run, and that run wins.  After a win at
     start i the rest of the period starts past i, so only strictly longer
-    runs can win again.  Periods below the closest distance between equal
-    letters have no match at all and are not scanned.
+    runs can win again, and the rest of the band is filtered again with
+    the need of the new best.  Periods below the closest distance between
+    equal letters have no match at all and are not scanned.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
@@ -208,29 +221,34 @@ def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:
     lo = _period_floor(w.letters, min_period)
     while lo < n:
         hi = min(2 * lo - 1, n - 1)
-        # need only grows with the maximum, so need at lo bounds the band
-        need = _required_run(lo, best_num, best_den, False)
-        for p in _candidate_periods(buf, k, lo, hi, need):
-            limit = n - p
-            need = _required_run(p, best_num, best_den, False)
-            if need > limit:
-                continue
-            z = _match_vector(x, n, k, p)
-            # a run as good as the best wins only if it starts before s:
-            # the end bound keeps the block's start below s
-            i = z.find(b"\x00" * need, 0, s + need - 1)
-            if i < 0:
-                need = _required_run(p, best_num, best_den, True)
-                i = z.find(b"\x00" * need, s)
-            while i >= 0:
-                j = i + need
-                while j < limit and not z[j]:
-                    j += 1
-                best = (i, p, p + j - i)
-                best_num, best_den, s = p + j - i, p, i
-                need = j - i + 1  # the rest of p starts past i: only longer runs win
-                i = z.find(b"\x00" * need, j + 1)
-        lo = hi + 1
+        while lo <= hi:
+            # need only grows with the maximum, so need at lo bounds [lo, hi]
+            need = _required_run(lo, best_num, best_den, False)
+            won = 0
+            for p in _candidate_periods(buf, k, lo, hi, need):
+                limit = n - p
+                need = _required_run(p, best_num, best_den, False)
+                if need > limit:
+                    continue
+                z = _match_vector(x, n, k, p)
+                # a run as good as the best wins only if it starts before s:
+                # the end bound keeps the block's start below s
+                i = z.find(b"\x00" * need, 0, s + need - 1)
+                if i < 0:
+                    need = _required_run(p, best_num, best_den, True)
+                    i = z.find(b"\x00" * need, s)
+                while i >= 0:
+                    j = i + need
+                    while j < limit and not z[j]:
+                        j += 1
+                    best = (i, p, p + j - i)
+                    best_num, best_den, s = p + j - i, p, i
+                    need = j - i + 1  # the rest of p starts past i: only longer runs win
+                    i = z.find(b"\x00" * need, j + 1)
+                    won = p
+                if won:
+                    break  # the rest of the band is filtered again with the new need
+            lo = won + 1 if won else hi + 1
     if best is None:
         return DetectionReport(None, None)
     occ = Occurrence(*best)
@@ -369,6 +387,25 @@ class ViolationKernel:
     match-run that makes period p forbidden; it is computed once per period
     and grown lazily with the longest prefix checked, so short searches
     never pay for long ones.
+
+    A band [P, 2P-1] with m = need[P] >= 2 is searched once for many
+    positions.  A violation of period q in the band ending at pos has a
+    match-run of at least need[q] >= m ending at pos, hence a run of at
+    least h = ceil(m/2) ending at every c in [pos-(m-h), pos-1].  So a
+    search of the length-h suffix ending at c = pos-1 over the whole band
+    lists, ascending, every period that can violate at any of the m-h
+    positions c+1 .. c+m-h; at each of them a listed period is confirmed
+    by one letter and one slice of need[q] letters.  Searching at c =
+    pos-1 rather than at pos keeps the search valid while the searcher
+    tries other letters at pos.  Bands with m = 1 are searched afresh at
+    every position.
+
+    Call-order contract: after letters of the word change, the next call
+    must be at the lowest changed position.  Each call drops the band
+    searches taken at or after its position, so every one kept read only
+    letters before it, which have not changed.  The searcher calls at the
+    position it just rewrote (a sibling or a backtrack), and the sampler
+    resumes its scan at the start of the span it resampled.
     """
 
     def __init__(self, c: FreenessConstraint, alphabet: int) -> None:
@@ -379,6 +416,9 @@ class ViolationKernel:
         self.alphabet = alphabet
         self.width = _letter_format(alphabet)[0]
         self.need = [0]  # need[0] is unused
+        # band start P -> [c, last position served, periods found at c]
+        self._marks: dict[int, list] = {}
+        self._top = -1  # every kept band search has c <= _top
 
     def encode(self, letters) -> tuple[bytearray, MutableSequence[int]]:
         """(buf, seq) holding `letters`; write further letters through seq."""
@@ -390,10 +430,40 @@ class ViolationKernel:
         for p in range(len(need), max(pmax + 1, 2 * len(need))):
             need.append(_required_run(p, num, den, strict))
 
+    def _mark(self, buf: bytearray, band: int, m: int, pos: int) -> list:
+        """Search the band [band, 2*band-1] for the length-h suffix ending
+        at c = pos-1, h = ceil(m/2), and keep the periods found, ascending,
+        for positions pos .. c+m-h."""
+        k = self.width
+        h = (m + 1) // 2
+        hk = h * k
+        end = pos * k
+        pattern = buf[end - hk : end]
+        first = (pos - 2 * band + 1 - h) * k
+        stop = end - band * k  # copies end at letter c - band or before
+        periods = []
+        while True:
+            j = buf.rfind(pattern, first if first > 0 else 0, stop)
+            if j < 0:
+                break
+            stop = j + hk - 1
+            if not j % k:
+                periods.append((end - hk - j) // k)
+        mark = self._marks[band] = [pos - 1, pos - 1 + m - h, periods]
+        self._top = pos - 1
+        return mark
+
     def first_period(self, buf: bytearray, seq: MutableSequence[int], pos: int) -> int:
         """Smallest period of a forbidden occurrence ending at letter pos of
         the word in buf (letters after pos are ignored), or 0.  The
-        occurrence is the factor of length p + need[p] ending at pos."""
+        occurrence is the factor of length p + need[p] ending at pos.
+        Letters before pos must be those of the previous calls (see the
+        class docstring)."""
+        if pos <= self._top:
+            for mark in self._marks.values():
+                if mark[0] >= pos:
+                    mark[1] = -1
+            self._top = pos - 1
         # p + need[p] <= pos + 1 implies p * r <= pos + 1.
         pmax = (pos + 1) * self.den // self.num
         if pmax > pos:
@@ -419,11 +489,26 @@ class ViolationKernel:
             p += 1
         k = self.width
         end = (pos + 1) * k
+        marks = self._marks
         while p <= pmax:
-            hi = 2 * p - 1 if 2 * p - 1 < pmax else pmax
             m = need[p]
             if p + m > pos + 1:
                 return 0  # p + need[p] only grows with p
+            if m > 1:
+                mark = marks.get(p)
+                if mark is None or mark[1] < pos:
+                    mark = self._mark(buf, p, m, pos)
+                for q in mark[2]:
+                    if q > pmax:
+                        break
+                    n = need[q]
+                    if q + n > pos + 1:
+                        break
+                    if seq[pos - q] == last and buf[end - n * k : end] == buf[end - (q + n) * k : end - q * k]:
+                        return q
+                p *= 2
+                continue
+            hi = 2 * p - 1 if 2 * p - 1 < pmax else pmax
             mk = m * k
             pattern = buf[end - mk : end]
             first = (pos + 1 - hi - m) * k

@@ -141,9 +141,10 @@ def extend_search(
     Each placement is checked by ``ViolationKernel.first_period`` at the new
     letter only, which is exact: the prefix before it was already clean, so
     any new forbidden occurrence ends at that letter.  The kernel keeps the
-    prefix in one byte buffer and finds long-period candidates with C-level
-    substring search, so the cost per node grows far slower with depth than
-    a letter-by-letter walk over every period.
+    prefix in one byte buffer, finds long-period candidates with C-level
+    substring search, and reuses each band search for the positions that
+    follow it, so the cost per node is about flat in depth.  Every call is
+    at the letter just written, as the kernel's call order requires.
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")

@@ -2,7 +2,9 @@
 searcher must produce field-identical certificates, and
 ``violations_ending_at`` the same occurrence, on both small periods (direct
 loop) and large ones (C-level band search), at one, two and eight bytes
-per letter."""
+per letter.  ``first_period`` is also driven directly through the call
+orders its callers use (advance, sibling rewrite, backtrack, span rewrite
+and rescan), which is what decides when a kept band search may be reused."""
 
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ from repthresh import (
     violations_ending_at,
 )
 from reference_kernel import ref_extend_search, ref_violation_ending_at
+from repthresh.detect import ViolationKernel
 
 GRID_TARGET = 200
 GRID_BUDGET = 3000
@@ -70,6 +73,96 @@ def test_search_matches_reference_large_alphabet():
         got = extend_search(a, c, target, node_budget=20_000, **kw)
         ref = ref_extend_search(a, c, target, node_budget=20_000, **kw)
         assert cert_fields(got) == ref, (c, kw)
+
+
+@pytest.mark.parametrize(
+    "a, l, r, target",
+    [(2, 3, Fraction(5, 3), 1000), (3, 1, Fraction(9, 5), 1000), (3, 2, Fraction(8, 5), 1000)],
+)
+def test_deep_reached_search_matches_reference(a, l, r, target):
+    # deep enough for bands up to [384, 767], whose kept searches serve
+    # over a hundred positions each and must survive the backtracks
+    c = FreenessConstraint(l, r)
+    got = extend_search(a, c, target)
+    assert got.outcome.value == "REACHED"
+    assert cert_fields(got) == ref_extend_search(a, c, target)
+
+
+# (alphabet, letter pool) at one, two and eight bytes per letter; the
+# two- and eight-byte pools hold letters whose bytes collide across letter
+# boundaries, so unaligned rfind hits occur.
+WIDTHS = [
+    (256, list(range(256))),
+    (300, [1, 256, 257] + list(range(2, 200))),
+    (2**40, [1, 2**32 + 1, 2**32, 2**39 + 1] + [x << 20 for x in range(1, 200)]),
+]
+# 41/40 with l=1 has bands with need 1 (no reuse) and need 2 (reuse for
+# one position).
+CONSTRAINTS = [
+    FreenessConstraint(3, Fraction(5, 3)),
+    FreenessConstraint(1, Fraction(9, 5)),
+    FreenessConstraint(2, Fraction(7, 4)),
+    FreenessConstraint(1, Fraction(41, 40)),
+]
+
+
+class _Driver:
+    """A word written and checked in the call orders of the searcher and the
+    sampler.  Most letters copy the letter q back, for a copy period q that
+    changes now and then, so long match-runs of band periods start and end
+    at every offset from the positions where band searches are kept."""
+
+    def __init__(self, rng: random.Random, alphabet: int, pool: list[int], c: FreenessConstraint, length: int):
+        self.rng, self.pool, self.c = rng, pool, c
+        self.kernel = ViolationKernel(c, alphabet)
+        self.buf, self.seq = self.kernel.encode([0] * length)
+        self.q = 12
+        self.calls = self.hits = 0
+
+    def letter(self, pos: int) -> int:
+        rng = self.rng
+        if rng.random() < 0.05:
+            self.q = rng.choice([rng.randrange(12, 400), *(b + rng.randrange(-2, 3) for b in (12, 24, 48, 96, 192, 384))])
+        if pos >= self.q and rng.random() < 0.9:
+            return self.seq[pos - self.q]
+        return rng.choice(self.pool)
+
+    def check(self, pos: int) -> None:
+        got = self.kernel.first_period(self.buf, self.seq, pos)
+        ref = ref_violation_ending_at(self.seq, self.c, pos)
+        assert got == (ref.period if ref else 0), (self.c, pos, list(self.seq[: pos + 1]))
+        self.calls += 1
+        self.hits += bool(got)
+
+
+@pytest.mark.parametrize("alphabet, pool", WIDTHS, ids=("1-byte", "2-byte", "8-byte"))
+@pytest.mark.parametrize("c", CONSTRAINTS, ids=lambda c: f"{c.threshold}-l{c.min_period}")
+def test_first_period_in_random_call_orders(alphabet, pool, c):
+    rng = random.Random(f"calls/{alphabet}/{c}")
+    length = rng.randrange(300, 1501)
+    d = _Driver(rng, alphabet, pool, c, length)
+    seq = d.seq
+    pos = 0
+    seq[0] = d.letter(0)
+    d.check(0)
+    while pos < length - 1:
+        op = rng.random()
+        if op < 0.7:  # advance
+            pos += 1
+        elif op < 0.85:  # sibling rewrite at the same position
+            pass
+        elif op < 0.9:  # backtrack by 1 to 50, mostly by a few
+            pos = max(0, pos - min(50, 1 + int(rng.expovariate(0.25))))
+        else:  # resample a span ending at pos, rescan from its start
+            s = max(0, pos - rng.randrange(40))
+            for i in range(s, pos + 1):
+                seq[i] = d.letter(i)
+            for i in range(s, pos + 1):
+                d.check(i)
+            continue
+        seq[pos] = d.letter(pos)
+        d.check(pos)
+    assert d.hits and d.hits < d.calls
 
 
 def _planted_word(rng: random.Random, alphabet: int, letters: list[int]) -> Word:

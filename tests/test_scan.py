@@ -171,3 +171,25 @@ def test_lifts_match_reference(monkeypatch):
             for n in (150, 599):
                 w = colorize(thue_morse(n), a, block)
                 _check_scanners(monkeypatch, w, MIN_PERIODS, (Fraction(11, 10), Fraction(2)))
+
+
+def test_lifts_with_a_win_inside_a_band(monkeypatch):
+    # On these lifts the best appears at period 150, the first of the band
+    # [150, 299]; the rest of the band is filtered again with the need of
+    # the new best, so only a handful of periods get a match vector.
+    words = [colorize(thue_morse(n), 300, 1) for n in (1100, 1995)]
+    for w in words:
+        _check_scanners(monkeypatch, w, (1, 151), (Fraction(11, 10), Fraction(2)))
+    monkeypatch.setattr(detect_module, "_FILTER_MIN_WORK", CUTOFFS[0])
+    periods = []
+    match_vector = detect_module._match_vector
+
+    def counted(x, n, k, p):
+        periods.append(p)
+        return match_vector(x, n, k, p)
+
+    monkeypatch.setattr(detect_module, "_match_vector", counted)
+    for w in words:
+        periods.clear()
+        assert max_exponent(w, 1).witness == Occurrence(6, 150, 156)
+        assert len(periods) < 10, periods
