@@ -406,6 +406,14 @@ class ViolationKernel:
     letters before it, which have not changed.  The searcher calls at the
     position it just rewrote (a sibling or a backtrack), and the sampler
     resumes its scan at the start of the span it resampled.
+
+    ``lowest_start`` gives the sampler's bad event once ``first_period``
+    has found the smallest violating period p at pos: the (start, period,
+    length) of the violating full match-run ending at pos that starts
+    lowest, ties by smallest period.  It is exact because need is
+    non-decreasing in the period: every violating q >= p has a run of at
+    least need[p] ending at pos, so one search for that suffix lists q.
+    It keeps no state and reads only letters up to pos.
     """
 
     def __init__(self, c: FreenessConstraint, alphabet: int) -> None:
@@ -526,6 +534,40 @@ class ViolationKernel:
                     return q
             p = hi + 1
         return 0
+
+    def lowest_start(self, buf: bytearray, seq: MutableSequence[int], pos: int, p: int) -> tuple[int, int, int]:
+        """(start, period, length) of the sampler's bad event at pos (see
+        the class docstring); p must be ``first_period``'s nonzero answer
+        at pos.  One rfind loop for the length-need[p] suffix lists the
+        candidate periods ascending, each run is walked back from the
+        letter before the known match, and a strict < keeps the smallest
+        period on a tie."""
+        k = self.width
+        need = self.need
+        m = need[p]
+        mk = m * k
+        end = (pos + 1) * k
+        pmax = (pos + 1) * self.den // self.num
+        if pmax > pos:
+            pmax = pos
+        pattern = buf[end - mk : end]
+        first = (pos + 1 - pmax - m) * k
+        stop = end - p * k  # copies end at letter pos - p or before
+        start, period, length = pos, 0, 0
+        while True:
+            j = buf.rfind(pattern, first if first > 0 else 0, stop)
+            if j < 0:
+                return start, period, length
+            stop = j + mk - 1
+            if j % k:
+                continue
+            q = (end - mk - j) // k
+            i = pos - q - m
+            while i >= 0 and seq[i] == seq[i + q]:
+                i -= 1
+            run = pos - q - i
+            if run >= need[q] and i + 1 < start:
+                start, period, length = i + 1, q, q + run
 
 
 def min_repeat_distance(w: Word, n: int) -> int | None:

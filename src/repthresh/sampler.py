@@ -20,6 +20,13 @@ searcher's check.  After a resample of [s, e) the scan resumes at s, not at
 0, and this is exact: the event just resampled had the lowest end position,
 so no violation ended earlier, and an occurrence ending before s reads only
 letters before s, which the resample left unchanged.
+
+The bad event at that end position comes from
+``ViolationKernel.lowest_start``, given the smallest violating period p.
+It returns (start, period, length) of the lowest-starting full run, ties
+by period, from one byte search for the shortest run of p: every larger
+violating period needs a run at least as long, so none is missed.  An
+``Occurrence`` is built only for the trace.
 """
 
 from __future__ import annotations
@@ -106,7 +113,6 @@ def _run_sampler(
     # Letters are next_uint64() % a < 2**64, so a kernel sized for 2**64
     # letters stores them as drawn, however large a is.
     kernel = ViolationKernel(constraint, min(alphabet_size, 2**64))
-    need = kernel.need
     rng = SplitMix64(config.seed)
     n = config.target_length
     buf, seq = kernel.encode([rng.letter(alphabet_size) for _ in range(n)])
@@ -123,26 +129,16 @@ def _run_sampler(
             return SamplerReport(word, count, histogram, config.seed), trace
         if count >= config.max_resamples:
             return SamplerReport(None, count, histogram, config.seed), trace
-        # p is the smallest violating period ending at pos; walk the full run
-        # of every period from p on and keep the lowest start.
-        start, period, length = pos, 0, 0
-        for q in range(p, min(pos, (pos + 1) * kernel.den // kernel.num) + 1):
-            i = pos - q
-            while i >= 0 and seq[i] == seq[i + q]:
-                i -= 1
-            run = pos - q - i
-            if run >= need[q] and i + 1 < start:
-                start, period, length = i + 1, q, q + run
-        occ = Occurrence(start, period, length)
+        start, period, length = kernel.lowest_start(buf, seq, pos, p)
         count += 1
-        histogram[occ.period] = histogram.get(occ.period, 0) + 1
+        histogram[period] = histogram.get(period, 0) + 1
         if record_trace:
-            trace.append((occ, count))
-        for i in range(occ.start, occ.end):
+            trace.append((Occurrence(start, period, length), count))
+        for i in range(start, start + length):
             seq[i] = rng.letter(alphabet_size)
         # Exact: no violation ended before pos, and the letters before
-        # occ.start are unchanged, so none ends before occ.start now.
-        lo = occ.start
+        # start are unchanged, so none ends before start now.
+        lo = start
 
 
 def sample_free_word(

@@ -1,9 +1,10 @@
 """Reference implementations of the incremental violation check: the plain
 per-period backward walk that the searcher and ``violations_ending_at``
-used before the shared ``ViolationKernel``, and the sampler's rescan from
-position 0 after every resample.  Tests hold the kernel equal to the first,
-certificate field by certificate field, and the sampler equal to the
-second, trace by trace.
+used before the shared ``ViolationKernel``, the sampler's bad event at one
+position by the same walk over every period, and its rescan from position
+0 after every resample.  Tests hold the kernel equal to the first,
+certificate field by certificate field, ``ViolationKernel.lowest_start``
+equal to the second, and the sampler equal to the third, trace by trace.
 
 Also the detectors' former whole-word scanners, which visit every period: a
 byte-packed pair for alphabets up to 256 and a letter-by-letter pair above.
@@ -96,31 +97,41 @@ def ref_extend_search(
                 return "EXHAUSTED", sat_max, nodes, None
 
 
+def ref_lowest_start(
+    letters: Sequence[int], l: int, num: int, den: int, strict: bool, pos: int
+) -> Occurrence | None:
+    """The sampler's bad event among the occurrences ending at pos: the
+    forbidden one spanning the full maximal match-run ending there with the
+    lowest start, ties by smallest period, by walking back from pos for
+    every period; None when no occurrence ending at pos is forbidden."""
+    pmax = min(pos, (pos + 1) * den // num)
+    best: tuple[int, int, int] | None = None
+    for p in range(l, pmax + 1):
+        if letters[pos - p] != letters[pos]:
+            continue
+        run = 1
+        i = pos - p - 1
+        while i >= 0 and letters[i] == letters[i + p]:
+            run += 1
+            i -= 1
+        if run < _required_run(p, num, den, strict):
+            continue
+        start = pos - p - run + 1
+        if best is None or (start, p) < (best[0], best[1]):
+            best = (start, p, p + run)
+    return None if best is None else Occurrence(*best)
+
+
 def ref_first_violation(
     letters: Sequence[int], l: int, num: int, den: int, strict: bool
 ) -> Occurrence | None:
     """The sampler's bad event by a rescan from position 0: the forbidden
     occurrence with minimal end position, ties by start, then period,
     spanning the full maximal match-run ending there."""
-    n = len(letters)
-    for pos in range(n):
-        pmax = min(pos, (pos + 1) * den // num)
-        best: tuple[int, int, int] | None = None
-        for p in range(l, pmax + 1):
-            if letters[pos - p] != letters[pos]:
-                continue
-            run = 1
-            i = pos - p - 1
-            while i >= 0 and letters[i] == letters[i + p]:
-                run += 1
-                i -= 1
-            if run < _required_run(p, num, den, strict):
-                continue
-            start = pos - p - run + 1
-            if best is None or (start, p) < (best[0], best[1]):
-                best = (start, p, p + run)
-        if best is not None:
-            return Occurrence(*best)
+    for pos in range(len(letters)):
+        occ = ref_lowest_start(letters, l, num, den, strict, pos)
+        if occ is not None:
+            return occ
     return None
 
 

@@ -4,7 +4,9 @@ searcher must produce field-identical certificates, and
 loop) and large ones (C-level band search), at one, two and eight bytes
 per letter.  ``first_period`` is also driven directly through the call
 orders its callers use (advance, sibling rewrite, backtrack, span rewrite
-and rescan), which is what decides when a kept band search may be reused."""
+and rescan), which is what decides when a kept band search may be reused.
+``lowest_start``, the sampler's bad event, is held equal to the walk over
+every period at each position where ``first_period`` finds a violation."""
 
 import random
 from fractions import Fraction
@@ -14,12 +16,13 @@ import pytest
 from repthresh import (
     FreenessConstraint,
     Mode,
+    Occurrence,
     Word,
     candidate_exponents,
     extend_search,
     violations_ending_at,
 )
-from reference_kernel import ref_extend_search, ref_violation_ending_at
+from reference_kernel import ref_extend_search, ref_lowest_start, ref_violation_ending_at
 from repthresh.detect import ViolationKernel
 
 GRID_TARGET = 200
@@ -199,3 +202,71 @@ def test_violations_ending_at_matches_reference(alphabet, letters):
         for pos in range(len(w)):
             got = violations_ending_at(w, c, pos)
             assert got == ref_violation_ending_at(w.letters, c, pos), (w, c, pos)
+
+
+# Letter pools for lowest_start at one, two and eight bytes per letter.
+# The kernel is sized as the sampler sizes it, min(a, 2**64), so 2**70
+# letters are stored as drawn; the two- and eight-byte pools hold letters
+# whose bytes collide across letter boundaries, so unaligned rfind hits
+# occur and must be skipped.
+LOWEST_START_POOLS = {
+    2: [0, 1],
+    3: [0, 1, 2],
+    300: [0, 1, 2, 256, 257],
+    2**70: [1, 5, 2**32, 2**32 + 1, 2**39 + 1],
+}
+
+
+def _copy_word(rng: random.Random, pool: list[int], n: int) -> list[int]:
+    """Random letters, most copying the letter q back for a q that changes
+    now and then, so runs of several periods end at the same position."""
+    letters: list[int] = []
+    q = rng.randrange(1, 64)
+    for i in range(n):
+        if rng.random() < 0.05:
+            q = rng.randrange(1, 200)
+        letters.append(letters[i - q] if i >= q and rng.random() < 0.8 else rng.choice(pool))
+    return letters
+
+
+@pytest.mark.parametrize("a", sorted(LOWEST_START_POOLS), ids=("a2", "a3", "a300", "a2^70"))
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+# 41/40 has need 1 for every period up to 40
+@pytest.mark.parametrize("r", [Fraction(41, 40), Fraction(5, 4), Fraction(7, 4), Fraction(2)], ids=str)
+def test_lowest_start_matches_reference(a, mode, r):
+    rng = random.Random(f"lowest/{a}/{mode.name}/{r}")
+    hits = 0
+    for _ in range(3):
+        letters = _copy_word(rng, LOWEST_START_POOLS[a], rng.randrange(64, 513))
+        c = FreenessConstraint(rng.choice([1, 1, 2, 5, 13]), r, mode)
+        kernel = ViolationKernel(c, min(a, 2**64))
+        buf, seq = kernel.encode(letters)
+        for pos in range(len(letters)):
+            p = kernel.first_period(buf, seq, pos)
+            ref = ref_lowest_start(letters, c.min_period, r.numerator, r.denominator, mode is Mode.STRICT, pos)
+            if not p:
+                assert ref is None, (c, pos, letters)
+                continue
+            assert Occurrence(*kernel.lowest_start(buf, seq, pos, p)) == ref, (c, pos, letters)
+            hits += 1
+    assert hits
+
+
+@pytest.mark.parametrize("a", [256, 300, 2**70], ids=("1-byte", "2-byte", "8-byte"))
+def test_lowest_start_tie_goes_to_smallest_period(a):
+    # u^3 with |u| = 20 after distinct letters: the full runs of periods 20
+    # and 40 both start at s, and both violate 5/4 (exponents 3 and 3/2).
+    # u ends in A B C A, so period 3 violates too, starting later.
+    scale = {256: 1, 300: 3, 2**70: 2**56}[a]
+    head = [100 + i for i in range(10)]
+    u = list(range(1, 17)) + [50, 51, 52, 50]
+    letters = [x * scale for x in head + u * 3]
+    s, pos = len(head), len(letters) - 1
+    c = FreenessConstraint(1, Fraction(5, 4))
+    kernel = ViolationKernel(c, min(a, 2**64))
+    buf, seq = kernel.encode(letters)
+    p = kernel.first_period(buf, seq, pos)
+    assert p == 3
+    assert letters[s - 1] not in (letters[s + 19], letters[s + 39])  # both runs are maximal at s
+    assert ref_lowest_start(letters, 1, 5, 4, False, pos) == Occurrence(s, 20, 60)
+    assert kernel.lowest_start(buf, seq, pos, p) == (s, 20, 60)
