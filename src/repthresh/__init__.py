@@ -24,7 +24,6 @@ from .detect import (
     detect,
     exists_repetition,
     max_exponent,
-    min_repeat_distance,
     naive_oracle,
     violations_ending_at,
 )

@@ -83,7 +83,6 @@ __all__ = [
     "exists_repetition",
     "violations_ending_at",
     "ViolationKernel",
-    "min_repeat_distance",
     "detect",
 ]
 
@@ -568,26 +567,6 @@ class ViolationKernel:
             run = pos - q - i
             if run >= need[q] and i + 1 < start:
                 start, period, length = i + 1, q, q + run
-
-
-def min_repeat_distance(w: Word, n: int) -> int | None:
-    """Minimal start-index distance between two occurrences of the same
-    length-n factor, or None when every length-n factor occurs once."""
-    if not 1 <= n <= len(w):
-        raise ValueError(f"factor length {n} out of range for word of length {len(w)}")
-    if w.alphabet <= 256:
-        data: bytes | tuple = bytes(w.letters)
-    else:
-        data = w.letters
-    last: dict = {}
-    best: int | None = None
-    for i in range(len(w) - n + 1):
-        f = data[i : i + n]
-        j = last.get(f)
-        if j is not None and (best is None or i - j < best):
-            best = i - j
-        last[f] = i
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,16 @@ def test_sample_threshold_one_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sample_seed_out_of_range_exits_2(capsys, tmp_path, seed):
+    # both would run the stream of a seed in range under another name
+    assert_clean_failure(
+        capsys, tmp_path,
+        ["sample", "--alphabet", "2", "--min-period", "3", "--threshold", "2/1",
+         "--length", "20", "--seed", seed],
+    )
+
+
 # --- bounds ---------------------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ from repthresh import (
     detect,
     exists_repetition,
     max_exponent,
-    min_repeat_distance,
     naive_oracle,
     parse_word,
     thue_morse,
@@ -398,52 +397,3 @@ def test_detect_matches_separate_scans():
         me = max_exponent(w, min_period)
         assert (rep.max_exponent, rep.witness) == (me.max_exponent, me.witness)
         assert rep.constraint_violated == (exists_repetition(w, c) is not None)
-
-
-# --- min_repeat_distance ------------------------------------------------------
-
-
-def test_min_repeat_distance_examples():
-    assert min_repeat_distance(parse_word("0101", 2), 2) == 2
-    assert min_repeat_distance(parse_word("0123", 4), 2) is None
-    assert min_repeat_distance(parse_word("001", 2), 1) == 1
-
-
-def test_min_repeat_distance_bounds():
-    with pytest.raises(ValueError):
-        min_repeat_distance(parse_word("01", 2), 3)
-    with pytest.raises(ValueError):
-        min_repeat_distance(parse_word("01", 2), 0)
-
-
-def _brute_min_distance(w, n):
-    best = None
-    for i in range(len(w) - n + 1):
-        for j in range(i + 1, len(w) - n + 1):
-            if w.letters[i : i + n] == w.letters[j : j + n]:
-                if best is None or j - i < best:
-                    best = j - i
-    return best
-
-
-def test_min_repeat_distance_brute_force():
-    rng = random.Random(15)
-    for _ in range(300):
-        a = rng.choice([2, 3, 300])
-        w = random_word(rng, a, rng.randint(1, 40))
-        n = rng.randint(1, len(w))
-        assert min_repeat_distance(w, n) == _brute_min_distance(w, n)
-
-
-def test_min_repeat_distance_grows_with_factor_length():
-    # a repeat of length n+1 at distance d is also one of length n
-    rng = random.Random(16)
-    for _ in range(300):
-        w = random_word(rng, 2, rng.randint(2, 50))
-        n = rng.randint(1, len(w) - 1)
-        d1 = min_repeat_distance(w, n)
-        d2 = min_repeat_distance(w, n + 1)
-        if d1 is not None and d2 is not None:
-            assert d1 <= d2
-        if d2 is not None:
-            assert d1 is not None

@@ -15,6 +15,7 @@ from repthresh import (
     resample_trace,
     sample_free_word,
 )
+from repthresh import sampler
 from reference_kernel import ref_run_sampler
 
 
@@ -36,6 +37,15 @@ def test_splitmix64_reference_values():
         10893884987945866570,
         2140661796675057799,
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 1000])
+def test_next_block_matches_next_uint64(seed, k):
+    block, single = SplitMix64(seed), SplitMix64(seed)
+    assert block.next_block(k) == [single.next_uint64() for _ in range(k)]
+    assert block.state == single.state
+    assert block.next_uint64() == single.next_uint64()
 
 
 def test_sampler_converges_and_is_sound():
@@ -152,6 +162,12 @@ def test_config_validation():
         SamplerConfig(0, 0, 5)
     with pytest.raises(ValueError):
         SamplerConfig(0, 10, 0)
+    # SplitMix64 reduces its seed mod 2**64, so only that range names a
+    # stream of its own
+    SamplerConfig(2**64 - 1, 10, 5)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SamplerConfig(seed, 10, 5)
 
 
 def test_report_json_shape():
@@ -215,3 +231,28 @@ def test_sampler_matches_reference_at_cap():
     assert run[0] is None and run[1] == 2000
     assert run == ref_run_sampler(2, geq(1, 2), cfg)
 
+
+
+# Blocks shorter than the spans: the letter pool runs dry in the middle of
+# the initial word and of resampled spans, and must refill by enough.
+SMALL_BLOCK_CASES = {
+    2: (geq(3, 2), 64),
+    3: (geq(2, 7, 4), 256),
+    300: (FreenessConstraint(1, Fraction(5, 4), Mode.STRICT), 256),
+    2**70: (geq(1, 2), 40),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("a", SMALL_BLOCK_CASES)
+def test_sampler_matches_reference_with_small_blocks(monkeypatch, block, a):
+    monkeypatch.setattr(sampler, "_BLOCK", block)
+    c, length = SMALL_BLOCK_CASES[a]
+    for seed in range(2):
+        cfg = SamplerConfig(seed, 10**5, length)
+        assert sampler_run(a, c, cfg) == ref_run_sampler(a, c, cfg)
+    for l in (1, 3):
+        for r in GRID_THRESHOLDS:
+            c = FreenessConstraint(l, r, Mode.GEQ)
+            cfg = SamplerConfig(3, 60, 24)
+            assert sampler_run(a, c, cfg) == ref_run_sampler(a, c, cfg), (l, r)
