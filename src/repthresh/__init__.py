@@ -54,7 +54,6 @@ from .construct import (
     fov_lower_bound,
     fov_upper_main_term,
     growth_lambda,
-    paper_upper_form,
     pigeonhole_witness,
     rank_map_block_extend,
     rank_map_eval,

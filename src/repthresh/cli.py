@@ -276,13 +276,7 @@ def _construct_witness(args) -> _Result:
     w = _input_word(args)
     args.word = render_word(w)
     occ = pigeonhole_witness(w, args.alphabet, args.min_period)
-    doc = {
-        "start": occ.start,
-        "period": occ.period,
-        "length": occ.length,
-        "exponent": fraction_json(occ.exponent),
-    }
-    text = _json_text(doc)
+    text = _json_text({**occ.to_jsonable(), "exponent": fraction_json(occ.exponent)})
     return _Result({"witness.json": text}, text)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "growth_lambda",
     "fov_upper_main_term",
     "weak_upper_bound",
-    "paper_upper_form",
     "BoundReport",
     "bound_report",
 ]
@@ -253,14 +252,6 @@ def weak_upper_bound(b: float, l: int, sig_digits: int = 12) -> float:
     if l < 1:
         raise ValueError(f"min period must be >= 1, got {l}")
     return _round_sig(1 + math.log(l, b) / l, sig_digits)
-
-
-def paper_upper_form(c: float, a: int, l: int, sig_digits: int = 12) -> float:
-    """The shape 1 + c/(a*l) of the headline upper bound, for a given c."""
-    if c <= 0:
-        raise ValueError(f"constant must be > 0, got {c}")
-    _check_al(a, l)
-    return _round_sig(1 + c / (a * l), sig_digits)
 
 
 def _round_sig(x: float, digits: int) -> float:

@@ -50,19 +50,21 @@ minimal violating run ``need[p]`` per period (grown lazily with the word)
 and the prefix as a byte buffer.  Periods below ``_DIRECT_PERIODS`` are
 compared letter by letter; larger ones go in doubling bands [P, 2P-1].
 Since need is non-decreasing in p, a violation at any period q of the band
-has a match-run of at least m = need[P] ending at the new letter, so
-``bytearray.rfind`` of a suffix lists every candidate period in C,
-ascending, and one slice comparison of length need[q] confirms each.
+has a match-run of at least m = need[P] ending at the new letter.  One
+helper, ``_recurrences``, lists in C, ascending, the periods at which a
+suffix recurs (``bytearray.rfind``), and one loop confirms each listed
+period by one letter and one slice comparison of length need[q].
 
 A band search is kept and reused for the positions that follow it.  A run
 of at least m ending at pos holds a run of at least h = ceil(m/2) ending
 at each of the m-h letters before pos, so one search for the length-h
 suffix ending at c = pos-1 lists every period of the band that can
 violate at any position from c+1 to c+m-h; there the periods found are
-only confirmed.  Bands with m = 1 are searched at every call.  A kept
-search reads letters up to c, so callers call at the lowest changed
-position first (see ``ViolationKernel``).  The answer is exactly the
-smallest violating period that a letter-by-letter walk would find.
+only confirmed.  A band with m = 1 serves no later position (m-h = 0):
+the helper lists it afresh at every call, and the same loop confirms it.
+A kept search reads letters up to c, so callers call at the lowest
+changed position first (see ``ViolationKernel``).  The answer is exactly
+the smallest violating period that a letter-by-letter walk would find.
 
 Apart from the kernel's ``need`` table and its kept band searches, nothing
 is cached across calls.
@@ -104,15 +106,9 @@ class DetectionReport:
     def to_jsonable(self) -> dict:
         return {
             "max_exponent": fraction_json(self.max_exponent),
-            "witness": _occurrence_json(self.witness),
+            "witness": None if self.witness is None else self.witness.to_jsonable(),
             "constraint_violated": self.constraint_violated,
         }
-
-
-def _occurrence_json(occ: Occurrence | None) -> dict | None:
-    if occ is None:
-        return None
-    return {"start": occ.start, "period": occ.period, "length": occ.length}
 
 
 def _required_run(p: int, num: int, den: int, strict: bool) -> int:
@@ -335,7 +331,7 @@ def violations_ending_at(w: Word, c: FreenessConstraint, pos: int) -> Occurrence
 # w[pos-p-need[p]+1 .. pos-p] with pos-p-need[p]+1 >= 0, where need[p] is the
 # minimal match-run for the threshold (see the module docstring for the band
 # search).  Letters are stored at a fixed width of k bytes (k = 1 up to 256
-# letters); rfind hits not aligned to k straddle two letters and are skipped.
+# letters).
 
 # Periods below this are checked by the direct letter loop.  A band costs one
 # rfind and one slice however few periods it holds, and most short periods
@@ -377,6 +373,25 @@ def _encode(letters, alphabet: int) -> tuple[bytearray, MutableSequence[int]]:
     return buf, seq
 
 
+def _recurrences(buf: bytearray, k: int, end: int, h: int, lo: int, hi: int) -> list[int]:
+    """The periods q in [lo, hi], ascending, at which the h letters before
+    letter `end` of buf (k bytes per letter) recur q letters earlier.  The
+    kernel's one byte search: hits not aligned to k straddle two letters
+    and are skipped."""
+    hk = h * k
+    pattern = buf[(end - h) * k : end * k]
+    first = (end - h - hi) * k
+    stop = (end - lo) * k  # copies end at letter end - lo or before
+    periods = []
+    while True:
+        j = buf.rfind(pattern, first if first > 0 else 0, stop)
+        if j < 0:
+            return periods
+        stop = j + hk - 1
+        if not j % k:
+            periods.append(end - h - j // k)
+
+
 class ViolationKernel:
     """Incremental violation check for one constraint on a growing word.
 
@@ -396,8 +411,9 @@ class ViolationKernel:
     positions c+1 .. c+m-h; at each of them a listed period is confirmed
     by one letter and one slice of need[q] letters.  Searching at c =
     pos-1 rather than at pos keeps the search valid while the searcher
-    tries other letters at pos.  Bands with m = 1 are searched afresh at
-    every position.
+    tries other letters at pos.  A band with m = 1 serves no later
+    position, so its periods are listed afresh at every position, by the
+    same helper (``_recurrences``), and confirmed by the same loop.
 
     Call-order contract: after letters of the word change, the next call
     must be at the lowest changed position.  Each call drops the band
@@ -437,29 +453,6 @@ class ViolationKernel:
         for p in range(len(need), max(pmax + 1, 2 * len(need))):
             need.append(_required_run(p, num, den, strict))
 
-    def _mark(self, buf: bytearray, band: int, m: int, pos: int) -> list:
-        """Search the band [band, 2*band-1] for the length-h suffix ending
-        at c = pos-1, h = ceil(m/2), and keep the periods found, ascending,
-        for positions pos .. c+m-h."""
-        k = self.width
-        h = (m + 1) // 2
-        hk = h * k
-        end = pos * k
-        pattern = buf[end - hk : end]
-        first = (pos - 2 * band + 1 - h) * k
-        stop = end - band * k  # copies end at letter c - band or before
-        periods = []
-        while True:
-            j = buf.rfind(pattern, first if first > 0 else 0, stop)
-            if j < 0:
-                break
-            stop = j + hk - 1
-            if not j % k:
-                periods.append((end - hk - j) // k)
-        mark = self._marks[band] = [pos - 1, pos - 1 + m - h, periods]
-        self._top = pos - 1
-        return mark
-
     def first_period(self, buf: bytearray, seq: MutableSequence[int], pos: int) -> int:
         """Smallest period of a forbidden occurrence ending at letter pos of
         the word in buf (letters after pos are ignored), or 0.  The
@@ -471,10 +464,8 @@ class ViolationKernel:
                 if mark[0] >= pos:
                     mark[1] = -1
             self._top = pos - 1
-        # p + need[p] <= pos + 1 implies p * r <= pos + 1.
+        # p + need[p] <= pos + 1 implies p * r <= pos + 1, so pmax <= pos.
         pmax = (pos + 1) * self.den // self.num
-        if pmax > pos:
-            pmax = pos
         p = self.min_period
         if pmax < p:
             return 0
@@ -504,69 +495,42 @@ class ViolationKernel:
             if m > 1:
                 mark = marks.get(p)
                 if mark is None or mark[1] < pos:
-                    mark = self._mark(buf, p, m, pos)
-                for q in mark[2]:
-                    if q > pmax:
-                        break
-                    n = need[q]
-                    if q + n > pos + 1:
-                        break
-                    if seq[pos - q] == last and buf[end - n * k : end] == buf[end - (q + n) * k : end - q * k]:
-                        return q
-                p *= 2
-                continue
-            hi = 2 * p - 1 if 2 * p - 1 < pmax else pmax
-            mk = m * k
-            pattern = buf[end - mk : end]
-            first = (pos + 1 - hi - m) * k
-            stop = end - p * k  # copies end at letter pos - p or before
-            while True:
-                j = buf.rfind(pattern, first if first > 0 else 0, stop)
-                if j < 0:
+                    # the length-h suffix ending at c = pos-1 serves pos .. c+m-h
+                    h = (m + 1) // 2
+                    mark = marks[p] = [pos - 1, pos - 1 + m - h, _recurrences(buf, k, pos, h, p, 2 * p - 1)]
+                    self._top = pos - 1
+                periods = mark[2]
+            else:
+                periods = _recurrences(buf, k, pos + 1, 1, p, 2 * p - 1)
+            for q in periods:
+                if q > pmax:
                     break
-                stop = j + mk - 1
-                if j % k:
-                    continue
-                q = (end - mk - j) // k
                 n = need[q]
-                if q + n <= pos + 1 and buf[end - n * k : end] == buf[end - (q + n) * k : end - q * k]:
+                if q + n > pos + 1:
+                    break  # q + need[q] only grows with q
+                if seq[pos - q] == last and buf[end - n * k : end] == buf[end - (q + n) * k : end - q * k]:
                     return q
-            p = hi + 1
+            p *= 2
         return 0
 
     def lowest_start(self, buf: bytearray, seq: MutableSequence[int], pos: int, p: int) -> tuple[int, int, int]:
         """(start, period, length) of the sampler's bad event at pos (see
         the class docstring); p must be ``first_period``'s nonzero answer
-        at pos.  One rfind loop for the length-need[p] suffix lists the
+        at pos.  ``_recurrences`` of the length-need[p] suffix lists the
         candidate periods ascending, each run is walked back from the
         letter before the known match, and a strict < keeps the smallest
         period on a tie."""
-        k = self.width
         need = self.need
         m = need[p]
-        mk = m * k
-        end = (pos + 1) * k
-        pmax = (pos + 1) * self.den // self.num
-        if pmax > pos:
-            pmax = pos
-        pattern = buf[end - mk : end]
-        first = (pos + 1 - pmax - m) * k
-        stop = end - p * k  # copies end at letter pos - p or before
         start, period, length = pos, 0, 0
-        while True:
-            j = buf.rfind(pattern, first if first > 0 else 0, stop)
-            if j < 0:
-                return start, period, length
-            stop = j + mk - 1
-            if j % k:
-                continue
-            q = (end - mk - j) // k
+        for q in _recurrences(buf, self.width, pos + 1, m, p, (pos + 1) * self.den // self.num):
             i = pos - q - m
             while i >= 0 and seq[i] == seq[i + q]:
                 i -= 1
             run = pos - q - i
             if run >= need[q] and i + 1 < start:
                 start, period, length = i + 1, q, q + run
+        return start, period, length
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Versioned JSON schemas for every artifact the CLI writes.
 
 Schema names: detection_report, search_certificate, bracket, sampler_report,
-bound_report, run_manifest (all currently at version 1).  The test suite
-validates every emitted artifact against these.
+bound_report, witness, run_manifest (all currently at version 1).  The test
+suite validates every emitted artifact against these.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ SCHEMA_NAMES = (
     "bracket",
     "sampler_report",
     "bound_report",
+    "witness",
     "run_manifest",
 )
 

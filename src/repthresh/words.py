@@ -114,6 +114,10 @@ class Occurrence:
     def exponent(self) -> Fraction:
         return Fraction(self.length, self.period)
 
+    def to_jsonable(self) -> dict:
+        """The artifacts' encoding of an occurrence."""
+        return {"start": self.start, "period": self.period, "length": self.length}
+
 
 @dataclass(frozen=True)
 class FreenessConstraint:

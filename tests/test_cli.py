@@ -287,6 +287,8 @@ def test_construct_witness(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out)
+    assert read_json(out_dir / "witness.json") == doc
+    validate(doc, "witness")
     assert doc == {
         "start": 0,
         "period": 2,

@@ -17,7 +17,6 @@ from repthresh import (
     fov_upper_main_term,
     growth_lambda,
     max_exponent,
-    paper_upper_form,
     parse_word,
     pigeonhole_witness,
     rank_map_block_extend,
@@ -314,14 +313,10 @@ def test_weak_upper_bound():
         weak_upper_bound(1.0, 4)
 
 
-def test_paper_upper_form_and_empirical_c():
-    assert paper_upper_form(3, 2, 1) == 2.5
-    assert paper_upper_form(2, 2, 2) == 1.5
+def test_bracket_c_hat():
     # the empirical constant c_hat = (r_hi - 1) * a * l of a bracket
     assert Bracket(2, 1, None, Fraction(2), False).c_hat == Fraction(2)
     assert Bracket(3, 1, None, Fraction(9, 5), False).c_hat == Fraction(12, 5)
-    with pytest.raises(ValueError):
-        paper_upper_form(0, 2, 1)
 
 
 def test_bound_report():

@@ -100,12 +100,13 @@ WIDTHS = [
     (2**40, [1, 2**32 + 1, 2**32, 2**39 + 1] + [x << 20 for x in range(1, 200)]),
 ]
 # 41/40 with l=1 has bands with need 1 (no reuse) and need 2 (reuse for
-# one position).
+# one position); STRICT has need 1 up to period 39, GEQ up to 40.
 CONSTRAINTS = [
     FreenessConstraint(3, Fraction(5, 3)),
     FreenessConstraint(1, Fraction(9, 5)),
     FreenessConstraint(2, Fraction(7, 4)),
     FreenessConstraint(1, Fraction(41, 40)),
+    FreenessConstraint(1, Fraction(41, 40), Mode.STRICT),
 ]
 
 
@@ -139,7 +140,7 @@ class _Driver:
 
 
 @pytest.mark.parametrize("alphabet, pool", WIDTHS, ids=("1-byte", "2-byte", "8-byte"))
-@pytest.mark.parametrize("c", CONSTRAINTS, ids=lambda c: f"{c.threshold}-l{c.min_period}")
+@pytest.mark.parametrize("c", CONSTRAINTS, ids=lambda c: f"{c.threshold}-l{c.min_period}" + "-strict" * (c.mode is Mode.STRICT))
 def test_first_period_in_random_call_orders(alphabet, pool, c):
     rng = random.Random(f"calls/{alphabet}/{c}")
     length = rng.randrange(300, 1501)
