@@ -12,7 +12,6 @@ from .words import (
     Occurrence,
     Word,
     WordFormatError,
-    exponent_of,
     parse_exponent,
     parse_word,
     read_word_file,

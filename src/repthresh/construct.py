@@ -148,11 +148,6 @@ class ColoringParams:
     def color_count(self) -> int:
         return self.a // 2
 
-    @property
-    def derived_min_period(self) -> int:
-        """l' = (a-2)/2 * l: the lift kills all periods in [l, l']."""
-        return (self.a - 2) // 2 * self.l
-
 
 def colorize(base: Word, a: int, l: int) -> Word:
     """Lift a binary word to alphabet a: position p carries the pair

@@ -12,36 +12,39 @@ Two independent routes are kept deliberately separate:
   search, no code shared with the scanners or the kernel.
 * ``exists_repetition`` / ``max_exponent`` scan match-runs per period
   (for each shift p, the maximal blocks where w[i] == w[i+p]; a block of
-  length len gives the occurrence (i, p, p+len)).  One scanner pair serves
-  every alphabet: the word is packed at 1, 2, 4 or 8 bytes per letter, as
-  for the kernel below, the match vector of a period is one big-integer
-  XOR with each letter's lane folded to one byte, and runs are located
-  with C-level byte searches.
+  length len gives the occurrence (i, p, p+len)).  Both read one scan,
+  ``_wins``, which yields in (period, start) order each run that beats the
+  best so far: ``max_exponent`` runs it from exponent 1 and keeps the last
+  run, ``exists_repetition`` runs it from the threshold and takes the
+  first.  The scan serves every alphabet: the word is packed at 1, 2, 4
+  or 8 bytes per letter, as for the kernel below, the match vector of a
+  period is one big-integer XOR with each letter's lane folded to one
+  byte, and runs are located with C-level byte searches.
 
   Periods go in doubling bands [P, 2P-1], and only candidate periods are
-  scanned.  A run of at least ``need`` matches at shift p contains an
-  aligned block [c, c+h), h = ceil(need/2), c a multiple of h, and that
-  block recurs p letters later; so ``bytes.find`` of each aligned block
-  over [c+P, c+2P-1+h) lists in C every period of the band that can carry
-  such a run.  The filter is exact because the ``need`` taken at the
-  band's first period bounds the whole band: for ``exists_repetition``
-  need is non-decreasing in p, and for ``max_exponent`` it only grows as
-  the best exponent so far grows, so after a win ``max_exponent`` filters
+  scanned.  A run of at least ``need`` matches at shift p holds, in its
+  later copy, an aligned block [c, c+h), h = ceil(need/2), c a multiple
+  of h, that recurs p letters earlier; so ``_recurrences`` of each
+  aligned block lists in C every period of the band that can carry such
+  a run.  The filter is exact because the ``need`` taken at the band's
+  first period bounds the whole band: need is non-decreasing in p, and it
+  only grows as the best so far grows, so after a win the scan filters
   the rest of the band again with the new need.  Each candidate is
   scanned in full, so the witnesses and their tie rules are those of a
   scan of every period.
   The worst case is still quadratic: the filter only skips periods that
   cannot carry a long enough run.
 
-  Two more skips are exact.  Both scanners start at the closest distance d
+  Two more skips are exact.  The scan starts at the closest distance d
   between two equal letters when it exceeds the minimum period, since no
   shorter period has a single match; d comes from one pass over the
-  letters that stops once d is at most the minimum.  And ``max_exponent``
-  looks only for runs that would replace its best (start s): periods go
-  up, so a later run wins only with a larger exponent, or with the same
-  exponent and a start before s.  Runs as long as the best are searched
-  only among starts below s, strictly longer ones from s on; every run
-  found wins, so none is judged in vain.
+  letters that stops once d is at most the minimum.  And it looks only
+  for runs that would replace the best (start s): periods go up, so a
+  later run wins only with a larger exponent, or with the same exponent
+  and a start before s.  Runs as long as the best are searched only among
+  starts below s, strictly longer ones from s on; every run found wins,
+  so none is judged in vain.  ``exists_repetition`` sets s to n under
+  GEQ, so that a run at the threshold wins, and to 0 under STRICT.
 
 ``ViolationKernel`` is the one incremental check, used by the backtracking
 searcher, the sampler and ``violations_ending_at``: when a word grows by
@@ -50,10 +53,11 @@ minimal violating run ``need[p]`` per period (grown lazily with the word)
 and the prefix as a byte buffer.  Periods below ``_DIRECT_PERIODS`` are
 compared letter by letter; larger ones go in doubling bands [P, 2P-1].
 Since need is non-decreasing in p, a violation at any period q of the band
-has a match-run of at least m = need[P] ending at the new letter.  One
-helper, ``_recurrences``, lists in C, ascending, the periods at which a
-suffix recurs (``bytearray.rfind``), and one loop confirms each listed
-period by one letter and one slice comparison of length need[q].
+has a match-run of at least m = need[P] ending at the new letter.
+``_recurrences``, the module's one byte search over a packed word, which
+the scanners' filter shares, lists in C, ascending, the periods at which a
+suffix recurs (``rfind``), and one loop confirms each listed period by
+one letter and one slice comparison of length need[q].
 
 A band search is kept and reused for the positions that follow it.  A run
 of at least m ending at pos holds a run of at least h = ceil(m/2) ending
@@ -189,64 +193,18 @@ def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:
 
     The witness is the maximal match-run attaining it (ties: smallest start,
     then smallest period).  Returns a report with max_exponent None when the
-    word has no repetition at the queried periods.
-
-    Only runs that can still change the answer are looked for.  Periods
-    go up, so once a best exists (start s), a run at a later period beats
-    it only with a larger exponent, or with the same exponent and a start
-    before s.  At each period a block of zeros as long as a tying run is
-    searched for only among starts below s; failing that, a block as long
-    as a strictly better run from s on.  When no tying block starts below
-    s, no run that starts there is long enough to hold a better block, so
-    every hit starts a maximal run, and that run wins.  After a win at
-    start i the rest of the period starts past i, so only strictly longer
-    runs can win again, and the rest of the band is filtered again with
-    the need of the new best.  Periods below the closest distance between
-    equal letters have no match at all and are not scanned.
+    word has no repetition at the queried periods.  The scan starts from
+    exponent 1 and keeps the last run that beats the best so far.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
     if min_period < 1:
         raise ValueError(f"min_period must be >= 1, got {min_period}")
-    n = len(w)
-    k, buf, x = _pack(w)
-    best = None  # (start, period, length)
-    best_num, best_den = 1, 1  # current maximum as length/period
-    s = n  # start of the best; n while there is none
-    lo = _period_floor(w.letters, min_period)
-    while lo < n:
-        hi = min(2 * lo - 1, n - 1)
-        while lo <= hi:
-            # need only grows with the maximum, so need at lo bounds [lo, hi]
-            need = _required_run(lo, best_num, best_den, False)
-            won = 0
-            for p in _candidate_periods(buf, k, lo, hi, need):
-                limit = n - p
-                need = _required_run(p, best_num, best_den, False)
-                if need > limit:
-                    continue
-                z = _match_vector(x, n, k, p)
-                # a run as good as the best wins only if it starts before s:
-                # the end bound keeps the block's start below s
-                i = z.find(b"\x00" * need, 0, s + need - 1)
-                if i < 0:
-                    need = _required_run(p, best_num, best_den, True)
-                    i = z.find(b"\x00" * need, s)
-                while i >= 0:
-                    j = i + need
-                    while j < limit and not z[j]:
-                        j += 1
-                    best = (i, p, p + j - i)
-                    best_num, best_den, s = p + j - i, p, i
-                    need = j - i + 1  # the rest of p starts past i: only longer runs win
-                    i = z.find(b"\x00" * need, j + 1)
-                    won = p
-                if won:
-                    break  # the rest of the band is filtered again with the new need
-            lo = won + 1 if won else hi + 1
-    if best is None:
+    occ = None
+    for occ in _wins(w, min_period, 1, 1, len(w)):
+        pass
+    if occ is None:
         return DetectionReport(None, None)
-    occ = Occurrence(*best)
     return DetectionReport(occ.exponent, occ)
 
 
@@ -255,35 +213,14 @@ def exists_repetition(w: Word, c: FreenessConstraint) -> Occurrence | None:
 
     Agrees with naive_oracle on the SOME/NONE decision; the returned witness
     is the first qualifying maximal run in (period, start) scan order, which
-    may differ from the oracle's maximal-exponent witness.
+    may differ from the oracle's maximal-exponent witness.  That is the
+    first run the scan yields from the threshold: under GEQ a run that ties
+    it wins at any start, under STRICT at none.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
-    n = len(w)
-    num = c.threshold.numerator
-    den = c.threshold.denominator
-    strict = c.mode is Mode.STRICT
-    k, buf, x = _pack(w)
-    pmax = min(n - 1, n * den // num)
-    lo = _period_floor(w.letters, c.min_period)
-    while lo <= pmax:
-        hi = min(2 * lo - 1, pmax)
-        # need is non-decreasing in p, so need at lo bounds the band
-        for p in _candidate_periods(buf, k, lo, hi, _required_run(lo, num, den, strict)):
-            limit = n - p
-            need = _required_run(p, num, den, strict)
-            if need > limit:
-                continue
-            z = _match_vector(x, n, k, p)
-            i = z.find(b"\x00" * need)
-            if i < 0:
-                continue
-            j = i + need
-            while j < limit and not z[j]:
-                j += 1
-            return Occurrence(i, p, p + (j - i))
-        lo = hi + 1
-    return None
+    s = 0 if c.mode is Mode.STRICT else len(w)
+    return next(_wins(w, c.min_period, c.threshold.numerator, c.threshold.denominator, s), None)
 
 
 def detect(
@@ -373,11 +310,11 @@ def _encode(letters, alphabet: int) -> tuple[bytearray, MutableSequence[int]]:
     return buf, seq
 
 
-def _recurrences(buf: bytearray, k: int, end: int, h: int, lo: int, hi: int) -> list[int]:
+def _recurrences(buf: bytes | bytearray, k: int, end: int, h: int, lo: int, hi: int) -> list[int]:
     """The periods q in [lo, hi], ascending, at which the h letters before
     letter `end` of buf (k bytes per letter) recur q letters earlier.  The
-    kernel's one byte search: hits not aligned to k straddle two letters
-    and are skipped."""
+    module's one byte search, for the kernel and the scanners' filter:
+    hits not aligned to k straddle two letters and are skipped."""
     hk = h * k
     pattern = buf[(end - h) * k : end * k]
     first = (end - h - hi) * k
@@ -593,26 +530,62 @@ def _candidate_periods(buf: bytes, k: int, lo: int, hi: int, need: int):
     """The periods in [lo, hi], ascending, that may carry a run of at least
     `need` matches; the others cannot.
 
-    Such a run at shift p contains an aligned block [c, c+h) with h =
-    ceil(need/2) and c a multiple of h, and that block recurs at c+p.  So
-    each aligned block is searched for within [c+lo, c+hi+h), and its
-    copies there, aligned to whole letters, name every candidate period.
+    The later copy of such a run at shift p holds an aligned block [c, c+h)
+    with h = ceil(need/2) and c a multiple of h, and that block recurs p
+    letters earlier, so ``_recurrences`` of the blocks with c >= lo names
+    every candidate period.
     """
     h = (need + 1) // 2
     if h * (hi - lo + 1) * k < _FILTER_MIN_WORK:
         return range(lo, hi + 1)
-    n = len(buf) // k
-    hk = h * k
     found: set[int] = set()
-    for c in range(0, n - lo - h + 1, h):
-        start = c * k
-        block = buf[start : start + hk]
-        stop = min(c + hi + h, n) * k
-        j = buf.find(block, start + lo * k, stop)
-        while j >= 0:
-            if not j % k:
-                found.add(j // k - c)
-            j = buf.find(block, j + 1, stop)
+    for end in range((lo + h - 1) // h * h + h, len(buf) // k + 1, h):
+        found.update(_recurrences(buf, k, end, h, lo, hi))
         if len(found) > hi - lo:
             break  # every period of the band is a candidate
     return sorted(found)
+
+
+def _wins(w: Word, min_period: int, num: int, den: int, s: int):
+    """Each maximal match-run of period >= min_period that beats the best so
+    far, as an Occurrence, in (period, start) order (see the module
+    docstring).  The best starts at exponent num/den and start s; a run of
+    the same exponent beats it only when it starts before s, and each run
+    yielded becomes the best.  When no tying block starts below s, no run
+    that starts there is long enough to hold a strictly better block, so
+    every hit starts a maximal run.  After a win at start i the rest of the
+    period starts past i, so only strictly longer runs win again there, and
+    the rest of the band is filtered again with the need of the new best.
+    """
+    n = len(w)
+    k, buf, x = _pack(w)
+    pmax = min(n - 1, n * den // num)
+    lo = _period_floor(w.letters, min_period)
+    while lo <= pmax:
+        hi = min(2 * lo - 1, pmax)
+        while lo <= hi:
+            won = 0
+            # with s = 0 no tie wins, so a run must be strictly better
+            for p in _candidate_periods(buf, k, lo, hi, _required_run(lo, num, den, not s)):
+                limit = n - p
+                need = _required_run(p, num, den, not s)
+                if need > limit:
+                    continue
+                z = _match_vector(x, n, k, p)
+                # the end bound keeps a tying block's start below s
+                i = z.find(b"\x00" * need, 0, s + need - 1)
+                if i < 0:
+                    need = _required_run(p, num, den, True)
+                    i = z.find(b"\x00" * need, s)
+                while i >= 0:
+                    j = i + need
+                    while j < limit and not z[j]:
+                        j += 1
+                    num, den, s = p + j - i, p, i
+                    yield Occurrence(i, p, num)
+                    need = j - i + 1  # the rest of p starts past i: only longer runs win
+                    i = z.find(b"\x00" * need, j + 1)
+                    won = p
+                if won:
+                    break  # the rest of the band is filtered again with the new need
+            lo = won + 1 if won else hi + 1

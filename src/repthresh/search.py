@@ -374,13 +374,20 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     REACHED witnesses are re-scanned with the naive oracle.  Small EXHAUSTED
     certificates (max_depth <= 12, alphabet <= 3) are re-proved by full
     enumeration of every word of length max_depth+1; larger ones are
-    accepted with independently_verified=False.
+    accepted with independently_verified=False.  A malformed certificate (a
+    negative max_depth, a witness over another alphabet) is rejected.
     """
     if cert.outcome is Outcome.REACHED:
         if cert.witness is None:
             return VerificationResult(False, True, "REACHED without witness")
         if len(cert.witness) < 1:
             return VerificationResult(False, True, "empty witness")
+        if cert.witness.alphabet != cert.alphabet_size:
+            return VerificationResult(
+                False,
+                True,
+                f"witness over {cert.witness.alphabet} letters, certificate over {cert.alphabet_size}",
+            )
         occ = naive_oracle(cert.witness, cert.constraint)
         if occ is not None:
             return VerificationResult(
@@ -393,6 +400,8 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
         return VerificationResult(True, False, "budget outcome claims nothing")
     if cert.max_depth is None:
         return VerificationResult(False, True, "EXHAUSTED without max_depth")
+    if cert.max_depth < 0:
+        return VerificationResult(False, True, f"negative max_depth {cert.max_depth}")
     depth = cert.max_depth
     if depth > _REVERIFY_MAX_DEPTH or cert.alphabet_size > _REVERIFY_MAX_ALPHABET:
         return VerificationResult(True, False, "not independently re-verified")

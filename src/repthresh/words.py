@@ -28,7 +28,6 @@ __all__ = [
     "render_word",
     "read_word_file",
     "parse_exponent",
-    "exponent_of",
     "fraction_json",
     "fraction_from_json",
     "verify_occurrence",
@@ -150,13 +149,6 @@ class FreenessConstraint:
 
     def forbids_occurrence(self, occ: Occurrence) -> bool:
         return occ.period >= self.min_period and self.forbids(occ.exponent)
-
-
-def exponent_of(length: int, period: int) -> Fraction:
-    """Exact exponent length/period of a repetition, as a reduced rational."""
-    if length < 1 or period < 1:
-        raise ValueError(f"length and period must be >= 1, got {length}/{period}")
-    return Fraction(length, period)
 
 
 def fraction_json(f: Fraction | None) -> dict | None:

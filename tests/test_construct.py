@@ -223,7 +223,6 @@ def test_colorize_validation():
 def test_coloring_params():
     p = ColoringParams(8, 3)
     assert p.color_count == 4
-    assert p.derived_min_period == 9
 
 
 def test_coloring_distance_property_spot():

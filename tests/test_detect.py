@@ -231,6 +231,23 @@ def test_max_exponent_witness_verifies():
             assert rep.witness.period >= min_period
 
 
+def test_scanners_reject_bad_input():
+    empty = Word(2, ())
+    for call in (
+        lambda: max_exponent(empty),
+        lambda: max_exponent(empty, 0),  # the empty word is reported first
+        lambda: exists_repetition(empty, geq(1, 2)),
+        lambda: detect(empty),
+        lambda: detect(empty, 1, geq(2, 2)),
+    ):
+        with pytest.raises(ValueError, match="non-empty"):
+            call()
+    w = parse_word("0101", 2)
+    for call in (lambda: max_exponent(w, 0), lambda: detect(w, 0, geq(1, 2))):
+        with pytest.raises(ValueError, match="min_period"):
+            call()
+
+
 # --- exists_repetition ------------------------------------------------------
 
 

@@ -165,6 +165,28 @@ def test_all_letters_distinct_give_none(monkeypatch):
         _check_scanners(monkeypatch, w, (1, 4), (Fraction(11, 10), Fraction(2)))
 
 
+def test_filter_reaches_the_first_and_last_aligned_blocks(monkeypatch):
+    # One run in a word of otherwise distinct letters, at the first or the
+    # last offsets, so that its later copy holds only the filter's first or
+    # last aligned blocks; every band goes through the filter.
+    monkeypatch.setattr(detect_module, "_FILTER_MIN_WORK", 1)
+    rng = random.Random(2323)
+    for alphabet in (256, 300):
+        for p in range(4, 20):
+            for extra in range(1, 8):
+                n = rng.randint(60, 64)
+                length = p + extra
+                r = Fraction(length, p)
+                for s in (0, 1, 2, n - length - 2, n - length - 1, n - length):
+                    w = _planted(alphabet, n, [(s, p, length)])
+                    assert max_exponent(w, 1).witness == ref_max_exponent(w, 1) == Occurrence(s, p, length)
+                    for t in (r, Fraction(2 * length - 1, 2 * p)):
+                        for mode in (Mode.GEQ, Mode.STRICT):
+                            c = FreenessConstraint(1, t, mode)
+                            got = exists_repetition(w, c)
+                            assert got == ref_exists_repetition(w, c), (alphabet, n, s, p, length, str(t), mode)
+
+
 def test_lifts_match_reference(monkeypatch):
     for a in (6, 300):
         for block in (1, 4, 20):

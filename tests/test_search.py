@@ -10,6 +10,7 @@ from repthresh import (
     Mode,
     Outcome,
     SearchCertificate,
+    Word,
     bracket_threshold,
     candidate_exponents,
     default_target_length,
@@ -236,6 +237,39 @@ def test_verify_exhausted_catches_overstated_depth():
     res = verify_certificate(lying)
     assert not res.ok
     assert "claimed depth" in res.detail
+
+
+def test_verify_rejects_negative_depth():
+    for depth in (-1, -3):
+        cert = SearchCertificate(
+            alphabet_size=2,
+            constraint=geq(1, 2),
+            outcome=Outcome.EXHAUSTED,
+            max_depth=depth,
+            nodes_visited=1,
+            witness=None,
+            symmetry_reduced=True,
+            elapsed=0.0,
+        )
+        res = verify_certificate(cert)
+        assert not res.ok
+        assert "negative max_depth" in res.detail
+
+
+def test_verify_rejects_witness_over_another_alphabet():
+    cert = SearchCertificate(
+        alphabet_size=2,
+        constraint=geq(1, 2),
+        outcome=Outcome.REACHED,
+        max_depth=None,
+        nodes_visited=3,
+        witness=Word(3, (0, 1, 2)),  # square-free, but letter 2 is not binary
+        symmetry_reduced=True,
+        elapsed=0.0,
+    )
+    res = verify_certificate(cert)
+    assert not res.ok
+    assert "witness over 3 letters" in res.detail
 
 
 def test_verify_large_exhausted_is_flagged():

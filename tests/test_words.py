@@ -10,7 +10,6 @@ from repthresh import (
     Occurrence,
     Word,
     WordFormatError,
-    exponent_of,
     parse_exponent,
     parse_word,
     read_word_file,
@@ -77,27 +76,7 @@ def test_read_word_file(tmp_path):
         read_word_file(path, 2)
 
 
-def test_exponent_of():
-    assert exponent_of(7, 3) == Fraction(7, 3)
-    assert exponent_of(6, 3) == Fraction(2, 1)
-    assert exponent_of(6, 3).denominator == 1
-    assert exponent_of(5, 3) == Fraction(5, 3)
-    for bad in [(0, 3), (3, 0), (-1, 2)]:
-        with pytest.raises(ValueError):
-            exponent_of(*bad)
-
-
-def test_exponent_scale_invariance():
-    rng = random.Random(7)
-    for _ in range(300):
-        length, period, k = rng.randint(1, 50), rng.randint(1, 50), rng.randint(1, 9)
-        assert exponent_of(k * length, k * period) == exponent_of(length, period)
-
-
 def test_exponent_order_is_exact():
-    # the kind of margin that floats get wrong at scale: 7/4 vs 12/7
-    assert exponent_of(7, 4) > exponent_of(12, 7)
-    assert exponent_of(10**6 + 1, 10**6) > 1
     xs = [Fraction(n, d) for n in range(1, 12) for d in range(1, 12)]
     s = sorted(xs)
     for u, v in zip(s, s[1:]):
