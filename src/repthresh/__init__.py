@@ -46,7 +46,6 @@ from .sampler import (
 )
 from .construct import (
     BoundReport,
-    ColoringParams,
     bound_report,
     build_mapped_word,
     colorize,

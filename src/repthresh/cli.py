@@ -298,88 +298,75 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("detect", help="scan one word for fractional powers")
+    # options shared by several subcommands, each declared once: the
+    # paper's (a, l), the comparison mode and the run directory
+    al = argparse.ArgumentParser(add_help=False)
+    al.add_argument("--alphabet", type=int, required=True)
+    al.add_argument("--min-period", type=int, default=1)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=["geq", "strict"], default="geq")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+
+    p = sub.add_parser("detect", parents=[al, mode], help="scan one word for fractional powers")
     _add_word_input(p)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--min-period", type=int, default=1)
     p.add_argument("--threshold", help="exponent threshold p/q")
-    p.add_argument("--mode", choices=["geq", "strict"], default="geq")
     p.set_defaults(compute=_detect)
 
-    p = sub.add_parser("search", help="backtrack for an avoiding word")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--min-period", type=int, default=1)
+    p = sub.add_parser("search", parents=[al, mode, out], help="backtrack for an avoiding word")
     p.add_argument("--threshold", required=True)
-    p.add_argument("--mode", choices=["geq", "strict"], default="geq")
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--no-symmetry", dest="symmetry", action="store_false")
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(compute=_search)
 
-    p = sub.add_parser("bracket", help="sweep exponents to bracket the threshold")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--min-period", type=int, default=1)
+    p = sub.add_parser("bracket", parents=[al, out],
+                       help="sweep exponents to bracket the threshold")
     p.add_argument("--max-denominator", type=int, default=6)
     p.add_argument("--target-length", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=5_000_000)
-    p.add_argument("--out")
     p.set_defaults(compute=_bracket)
 
-    p = sub.add_parser("sample", help="Moser-Tardos resampling")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--min-period", type=int, default=1)
+    p = sub.add_parser("sample", parents=[al, mode, out], help="Moser-Tardos resampling")
     p.add_argument("--threshold", required=True)
-    p.add_argument("--mode", choices=["geq", "strict"], default="geq")
     p.add_argument("--length", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-resamples", type=int, default=100_000)
-    p.add_argument("--out")
     p.set_defaults(compute=_sample)
 
-    p = sub.add_parser("bounds", help="closed-form bound formulas")
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--min-period", type=int, default=1)
+    p = sub.add_parser("bounds", parents=[al, out], help="closed-form bound formulas")
     p.add_argument("--weak-log-base", type=float, default=None)
     p.add_argument("--precision", type=int, default=12)
-    p.add_argument("--out")
     p.set_defaults(compute=_bounds)
 
     pc = sub.add_parser("construct", help="explicit constructions")
     csub = pc.add_subparsers(dest="construction", required=True)
 
-    p = csub.add_parser("thue-morse")
+    p = csub.add_parser("thue-morse", parents=[out])
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(compute=_construct_thue_morse)
 
-    p = csub.add_parser("rank-map")
+    p = csub.add_parser("rank-map", parents=[out])
     p.add_argument("--radix", type=int, required=True, help="block radix m")
     p.add_argument("--block", type=int, required=True, help="block size l")
-    p.add_argument("--out")
     p.set_defaults(compute=_construct_rank_map)
 
-    p = csub.add_parser("colorize")
+    p = csub.add_parser("colorize", parents=[out])
     p.add_argument("--alphabet", type=int, required=True, help="even target alphabet >= 6")
     p.add_argument("--block", type=int, required=True, help="color block size l")
     p.add_argument("--base", required=True, help="binary base word text")
-    p.add_argument("--out")
     p.set_defaults(compute=_construct_colorize)
 
-    p = csub.add_parser("witness")
+    p = csub.add_parser("witness", parents=[al, out])
     _add_word_input(p)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--min-period", type=int, default=1)
-    p.add_argument("--out")
     p.set_defaults(compute=_construct_witness)
 
-    p = csub.add_parser("mapped-word")
+    p = csub.add_parser("mapped-word", parents=[out])
     p.add_argument("--source", required=True, help="source word text")
     p.add_argument("--alphabet", type=int, required=True, help="source alphabet size")
     p.add_argument("--radix", type=int, required=True)
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(compute=_construct_mapped_word)
 
     return parser

@@ -32,7 +32,6 @@ __all__ = [
     "rank_map_block_extend",
     "rank_map_table",
     "build_mapped_word",
-    "ColoringParams",
     "colorize",
     "pigeonhole_witness",
     "simple_lower_bound",
@@ -130,25 +129,6 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
     return Word(source.alphabet, tuple(src[v] for v in values))
 
 
-@dataclass(frozen=True)
-class ColoringParams:
-    """Parameters of the coloring lift; requires an even alphabet >= 6 so
-    there are at least 3 colors."""
-
-    a: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.a < 6 or self.a % 2:
-            raise ValueError(f"alphabet size must be even and >= 6, got {self.a}")
-        if self.l < 1:
-            raise ValueError(f"block size must be >= 1, got {self.l}")
-
-    @property
-    def color_count(self) -> int:
-        return self.a // 2
-
-
 def colorize(base: Word, a: int, l: int) -> Word:
     """Lift a binary word to alphabet a: position p carries the pair
     (bit, color) encoded as letter 2*color + bit, where the color of block
@@ -158,10 +138,13 @@ def colorize(base: Word, a: int, l: int) -> Word:
     distance d with l <= d <= (a/2-1)*l never share a color, so the lifted
     word has no equal letters at those distances.
     """
-    params = ColoringParams(a, l)
+    if a < 6 or a % 2:
+        raise ValueError(f"alphabet size must be even and >= 6, got {a}")
+    if l < 1:
+        raise ValueError(f"block size must be >= 1, got {l}")
     if base.alphabet != 2:
         raise ValueError(f"base word must be binary, got alphabet {base.alphabet}")
-    h = params.color_count
+    h = a // 2
     letters = tuple(
         2 * ((p // l) % h) + bit for p, bit in enumerate(base.letters)
     )
@@ -250,10 +233,9 @@ def weak_upper_bound(b: float, l: int, sig_digits: int = 12) -> float:
 
 
 def _round_sig(x: float, digits: int) -> float:
+    # every caller rounds a value >= 1
     if digits < 1:
         raise ValueError(f"need at least 1 significant digit, got {digits}")
-    if x == 0:
-        return 0.0
     return round(x, digits - 1 - math.floor(math.log10(abs(x))))
 
 

@@ -153,13 +153,16 @@ def extend_search(
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if letter_order is None:
-        order: tuple[int, ...] = tuple(range(alphabet_size))
+        # A letter absent from the prefix ends no repetition, and one of
+        # 0..d is, so depth d never needs to try a letter above d.
+        order: tuple[int, ...] = tuple(range(min(alphabet_size, target_length)))
     else:
         order = tuple(letter_order)
         if sorted(order) != list(range(alphabet_size)):
             raise ValueError("letter_order must be a permutation of range(alphabet_size)")
 
     a = alphabet_size
+    n = len(order)
     kernel = ViolationKernel(constraint, a)
     first_period = kernel.first_period
     buf, seq = kernel.encode([0] * target_length)
@@ -188,7 +191,7 @@ def extend_search(
         c = next_choice[depth]
         mx = max_used[depth]
         placed = False
-        while c < a:
+        while c < n:
             letter = order[c]
             c += 1
             if symmetry and letter > mx:
@@ -231,7 +234,7 @@ def candidate_exponents(
         first = lo.numerator * den // lo.denominator + 1
         last = hi.numerator * den // hi.denominator
         for numr in range(first, last + 1):
-            if gcd(numr, den) == 1 and lo < Fraction(numr, den) <= hi:
+            if gcd(numr, den) == 1:  # the bounds keep numr/den in (lo, hi]
                 found.append(Fraction(numr, den))
     return sorted(found)
 
@@ -319,10 +322,6 @@ def bracket_threshold(
     """
     if alphabet_size < 2:
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
-    if min_period < 1:
-        raise ValueError(f"min_period must be >= 1, got {min_period}")
-    if node_budget is not None and node_budget < 1:
-        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if target_length is None:
         target_length = default_target_length(alphabet_size, min_period)
     grid = candidate_exponents(max_denominator, Fraction(1), Fraction(2))
@@ -343,7 +342,7 @@ def bracket_threshold(
         elif cert.outcome is Outcome.REACHED:
             r_hi = r
             break
-    if r_hi is None and grid:
+    if r_hi is None:
         top = grid[-1]
         cert = extend_search(
             alphabet_size,
@@ -375,8 +374,11 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     certificates (max_depth <= 12, alphabet <= 3) are re-proved by full
     enumeration of every word of length max_depth+1; larger ones are
     accepted with independently_verified=False.  A malformed certificate (a
-    negative max_depth, a witness over another alphabet) is rejected.
+    negative max_depth or nodes_visited, a witness over another alphabet) is
+    rejected.
     """
+    if cert.nodes_visited < 0:
+        return VerificationResult(False, True, f"negative nodes_visited {cert.nodes_visited}")
     if cert.outcome is Outcome.REACHED:
         if cert.witness is None:
             return VerificationResult(False, True, "REACHED without witness")

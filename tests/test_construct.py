@@ -6,7 +6,6 @@ import pytest
 
 from repthresh import (
     Bracket,
-    ColoringParams,
     Occurrence,
     Word,
     bound_report,
@@ -38,6 +37,8 @@ from conftest import random_word
 
 def test_thue_morse_goldens():
     assert render_word(thue_morse(8)) == "01101001"
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        thue_morse(-1)
     assert render_word(thue_morse(1)) == "0"
     assert render_word(thue_morse(16)) == "0110100110010110"
     assert len(thue_morse(0)) == 0
@@ -85,6 +86,10 @@ def test_rank_map_validation():
         rank_map_eval(0, 1, 8)
     with pytest.raises(ValueError):
         rank_map_eval(-1, 2, 8)
+    with pytest.raises(ValueError, match="block size must be >= 1"):
+        rank_map_eval(0, 2, 0)
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        rank_map_block_extend(-1, 2, 8)
 
 
 def test_rank_map_block_extend_rejects_block_below_one():
@@ -186,6 +191,8 @@ def test_build_mapped_word_examples():
 def test_build_mapped_word_source_too_short():
     with pytest.raises(ValueError, match="need 4 letters, have 2"):
         build_mapped_word(parse_word("01", 2), 2, 8, 8)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        build_mapped_word(parse_word("01", 2), 2, 8, -1)
 
 
 def test_mapped_word_pullback_property():
@@ -217,12 +224,7 @@ def test_colorize_validation():
     with pytest.raises(ValueError):
         colorize(parse_word("012", 3), 6, 1)
     with pytest.raises(ValueError):
-        ColoringParams(6, 0)
-
-
-def test_coloring_params():
-    p = ColoringParams(8, 3)
-    assert p.color_count == 4
+        colorize(base, 6, 0)
 
 
 def test_coloring_distance_property_spot():
@@ -255,6 +257,8 @@ def test_pigeonhole_validation():
         pigeonhole_witness(parse_word("01", 2), 2, 1)
     with pytest.raises(ValueError, match="alphabet"):
         pigeonhole_witness(parse_word("012", 3), 2, 1)
+    with pytest.raises(ValueError, match="need a >= 1 and l >= 1"):
+        pigeonhole_witness(parse_word("010", 2), 0, 1)
 
 
 def test_pigeonhole_witness_random_validity():
@@ -276,12 +280,16 @@ def test_simple_lower_bound():
     assert simple_lower_bound(2, 1) == Fraction(3, 2)
     assert simple_lower_bound(2, 2) == Fraction(5, 4)
     assert simple_lower_bound(10, 10) == Fraction(101, 100)
+    with pytest.raises(ValueError, match="alphabet size must be >= 2"):
+        simple_lower_bound(1, 1)
 
 
 def test_fov_lower_bound():
     assert fov_lower_bound(2, 2) == Fraction(4, 3)
     assert fov_lower_bound(2, 1) == Fraction(3, 2)
     assert fov_lower_bound(3, 1) == Fraction(4, 3)
+    with pytest.raises(ValueError, match="min period must be >= 1"):
+        fov_lower_bound(2, 0)
 
 
 def test_lower_bound_ordering_spot():
@@ -293,6 +301,8 @@ def test_lower_bound_ordering_spot():
 def test_growth_lambda():
     assert abs(growth_lambda(2) - (1 + math.sqrt(5)) / 2) < 1e-12
     assert abs(growth_lambda(3) - (1 + math.sqrt(3))) < 1e-12
+    with pytest.raises(ValueError, match="alphabet size must be >= 2"):
+        growth_lambda(1)
 
 
 def test_fov_upper_main_term():
@@ -310,6 +320,8 @@ def test_weak_upper_bound():
     assert weak_upper_bound(4, 16) == 1.125
     with pytest.raises(ValueError):
         weak_upper_bound(1.0, 4)
+    with pytest.raises(ValueError, match="min period must be >= 1"):
+        weak_upper_bound(2, 0)
 
 
 def test_bracket_c_hat():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,6 +127,30 @@ def test_extend_search_validation():
         extend_search(2, geq(1, 2), 5, letter_order=[0, 0])
     with pytest.raises(ValueError):
         FreenessConstraint(1, Fraction(1), Mode.GEQ)  # threshold must exceed 1
+    with pytest.raises(ValueError, match="alphabet size must be >= 2"):
+        bracket_threshold(1, 1)
+    with pytest.raises(ValueError, match="min_period must be >= 1"):
+        bracket_threshold(2, 0)  # raised by FreenessConstraint
+
+
+def test_huge_alphabet_tries_only_the_first_letters():
+    # a letter absent from the prefix is always clean, so no search over
+    # target_length letters or more looks past the first target_length
+    target = 40
+    for symmetry in (True, False):
+        for c in (geq(1, 2), strict(2, 3, 2)):
+            small = extend_search(target, c, target, symmetry=symmetry)
+            tracemalloc.start()
+            try:
+                huge = extend_search(10**6, c, target, symmetry=symmetry)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            assert huge.outcome is small.outcome is Outcome.REACHED
+            assert huge.nodes_visited == small.nodes_visited
+            assert huge.witness.letters == small.witness.letters
+            assert huge.alphabet_size == 10**6
 
 
 def test_default_target_length():
@@ -194,8 +220,12 @@ def test_verify_tampered_witness():
         elapsed=good.elapsed,
     )
     res = verify_certificate(bad)
+    assert not res
     assert not res.ok
     assert "violates" in res.detail
+    for witness, detail in [(None, "without witness"), (Word(3, ()), "empty witness")]:
+        res = verify_certificate(dataclasses.replace(bad, witness=witness))
+        assert not res and detail in res.detail
 
 
 def test_verify_exhausted_by_reenumeration():
@@ -254,6 +284,22 @@ def test_verify_rejects_negative_depth():
         res = verify_certificate(cert)
         assert not res.ok
         assert "negative max_depth" in res.detail
+    res = verify_certificate(dataclasses.replace(cert, max_depth=None))
+    assert not res.ok
+    assert "EXHAUSTED without max_depth" in res.detail
+
+
+def test_verify_rejects_negative_nodes_visited():
+    for cert in [
+        extend_search(2, geq(1, 2), 10),  # EXHAUSTED at depth 3
+        extend_search(2, strict(1, 2), 40),  # REACHED
+        extend_search(2, strict(1, 2), 200, node_budget=5),  # BUDGET_EXCEEDED
+    ]:
+        assert verify_certificate(cert).ok
+        for nodes in (-1, -5):
+            res = verify_certificate(dataclasses.replace(cert, nodes_visited=nodes))
+            assert not res.ok
+            assert f"negative nodes_visited {nodes}" in res.detail
 
 
 def test_verify_rejects_witness_over_another_alphabet():

@@ -22,6 +22,8 @@ from conftest import periodic_prefix_oracle, random_word
 
 def test_parse_basic():
     assert parse_word("0110", 2).letters == (0, 1, 1, 0)
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        parse_word("", 0)
     assert parse_word("", 2).letters == ()
     assert parse_word("a", 11).letters == (10,)
     assert parse_word("z", 36).letters == (35,)
@@ -58,6 +60,9 @@ def test_render_roundtrip_random():
 
 
 def test_word_validation():
+    w = Word(2, [0, 1])  # a list of letters is stored as a tuple
+    assert w.letters == (0, 1)
+    assert str(w) == "01"
     with pytest.raises(ValueError):
         Word(0, ())
     with pytest.raises(ValueError, match="position 1"):
@@ -77,10 +82,25 @@ def test_read_word_file(tmp_path):
 
 
 def test_exponent_order_is_exact():
-    xs = [Fraction(n, d) for n in range(1, 12) for d in range(1, 12)]
-    s = sorted(xs)
-    for u, v in zip(s, s[1:]):
-        assert u <= v
+    for p in range(1, 12):
+        for n in range(p + 1, 3 * p + 1):
+            e = Occurrence(0, p, n).exponent
+            assert isinstance(e, Fraction) and e == Fraction(n, p)
+            assert Occurrence(0, 2 * p, 2 * n).exponent == e
+    # exponents that a float would round to 1, and so to each other
+    big = 10**17
+    e = Occurrence(0, big, big + 1).exponent
+    assert e > 1
+    assert FreenessConstraint(1, Fraction(big + 2, big + 1)).forbids(e)
+    assert not FreenessConstraint(1, Fraction(big + 1, big), Mode.STRICT).forbids(e)
+    # a tie with the threshold meets GEQ but not STRICT, at every scale
+    geq = FreenessConstraint(1, Fraction(7, 3), Mode.GEQ)
+    strict = FreenessConstraint(1, Fraction(7, 3), Mode.STRICT)
+    for occ in (Occurrence(0, 3, 7), Occurrence(0, 6, 14)):
+        assert geq.forbids(occ.exponent)
+        assert not strict.forbids(occ.exponent)
+    assert strict.forbids(Occurrence(0, 3, 8).exponent)
+    assert not geq.forbids(Occurrence(0, 3, 6).exponent)
 
 
 def test_parse_exponent():
