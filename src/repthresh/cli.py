@@ -86,8 +86,11 @@ def main(argv: list[str] | None = None) -> int:
         result = args.compute(args)
         if result.artifacts is not None:
             _write_run(args, argv, result.artifacts, t0)
-    except (WordFormatError, ValueError, OSError) as exc:
+    except (WordFormatError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # raised with an empty message
+        print("error: not enough memory for this run", file=sys.stderr)
         return 2
     print(result.stdout, end="")
     if result.note:

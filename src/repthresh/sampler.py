@@ -10,11 +10,11 @@ versions.  Stream discipline, frozen as part of the contract:
 * each resample redraws the letters of its occurrence span left to right.
 
 The discipline holds although letters are drawn ahead of use.  A run
-takes them in stream order from a pool that ``SplitMix64.next_block``
-refills with whole blocks of draws, computed together but each equal to
-the next_uint64 call it stands for (draw i after state s mixes
+reads them in order from one stream that ``SplitMix64.next_block`` feeds
+with whole blocks of draws, computed together but each equal to the
+next_uint64 call it stands for (draw i after state s mixes
 s + (i+1)*gamma).  So the k-th letter a run uses is still the k-th draw of
-its stream, whatever the block size.  The draws left in the pool when a
+its stream, whatever the block size.  The draws left in the stream when a
 run ends go unused, and the generator belongs to the run, so no caller
 sees them.
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, islice
 
 from .detect import ViolationKernel
 from .words import FreenessConstraint, Occurrence, Word, render_word
@@ -168,20 +169,14 @@ def _run_sampler(
     # letters stores them as drawn, however large a is.
     kernel = ViolationKernel(constraint, min(alphabet_size, 2**64))
     rng = SplitMix64(config.seed)
-    pool: list[int] = []  # letters drawn ahead, used in order from pool[at]
-    at = 0
+    # The letter stream, drawn a block at a time and consumed in C.
+    stream = chain.from_iterable(
+        iter(lambda: [x % alphabet_size for x in rng.next_block(_BLOCK)], None)
+    )
 
     def take(m: int) -> list[int]:
         """The next m letters of the stream."""
-        nonlocal pool, at
-        if at + m > len(pool):
-            # Whole blocks, as many as the shortfall needs: a list shorter
-            # than its slice would shrink the word.
-            blocks = (m - len(pool) + at + _BLOCK - 1) // _BLOCK
-            pool = pool[at:] + [x % alphabet_size for x in rng.next_block(blocks * _BLOCK)]
-            at = 0
-        at += m
-        return pool[at - m : at]
+        return list(islice(stream, m))
 
     n = config.target_length
     buf, seq = kernel.encode(take(n))

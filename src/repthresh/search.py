@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .detect import ViolationKernel, naive_oracle
 from .words import (
@@ -123,17 +122,16 @@ def extend_search(
     target_length: int,
     *,
     symmetry: bool = True,
-    letter_order: Sequence[int] | None = None,
     node_budget: int | None = None,
 ) -> SearchCertificate:
     """Depth-first search for a word of target_length satisfying the
     constraint.
 
-    Letters are tried in `letter_order` (ascending by default).  With
-    `symmetry` on, only canonical words are explored: a letter never seen
-    before may only be introduced if it is the smallest unused one, which
-    prunes the tree by up to alphabet_size! without changing the outcome
-    (letter permutations preserve the constraint).
+    Letters are tried in ascending order.  With `symmetry` on, only
+    canonical words are explored: a letter never seen before may only be
+    introduced if it is the smallest unused one, which prunes the tree by up
+    to alphabet_size! without changing the outcome (letter permutations
+    preserve the constraint).
 
     nodes_visited counts attempted letter placements; with a node_budget the
     outcome BUDGET_EXCEEDED reports the deepest satisfying prefix found.
@@ -152,23 +150,20 @@ def extend_search(
         raise ValueError(f"target_length must be >= 1, got {target_length}")
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
-    if letter_order is None:
-        # A letter absent from the prefix ends no repetition, and one of
-        # 0..d is, so depth d never needs to try a letter above d.
-        order: tuple[int, ...] = tuple(range(min(alphabet_size, target_length)))
-    else:
-        order = tuple(letter_order)
-        if sorted(order) != list(range(alphabet_size)):
-            raise ValueError("letter_order must be a permutation of range(alphabet_size)")
 
     a = alphabet_size
-    n = len(order)
+    # A letter absent from the prefix ends no repetition, and one of 0..d
+    # is, so depth d never needs to try a letter above d.
+    n = min(a, target_length)
     kernel = ViolationKernel(constraint, a)
     first_period = kernel.first_period
     buf, seq = kernel.encode([0] * target_length)
-    next_choice = [0] * (target_length + 1)  # index into `order` per depth
-    max_used = [0] * (target_length + 1)     # letters 0..max_used[d]-1 occur in prefix
+    # Depth d tries the letters 0..top[d]-1: with symmetry, the letters of
+    # the prefix and the smallest unused one.
+    top = [0] * target_length
+    top[0] = 1 if symmetry else n
     depth = 0
+    letter = 0  # the next letter to try at depth
     sat_max = 0
     nodes = 0
     t0 = time.perf_counter()
@@ -186,34 +181,29 @@ def extend_search(
         )
 
     while True:
-        if depth == target_length:
-            return make(Outcome.REACHED, Word(a, tuple(seq)))
-        c = next_choice[depth]
-        mx = max_used[depth]
-        placed = False
-        while c < n:
-            letter = order[c]
-            c += 1
-            if symmetry and letter > mx:
-                continue
+        hi = top[depth]
+        while letter < hi:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return make(Outcome.BUDGET_EXCEEDED, None)
             seq[depth] = letter
             if not first_period(buf, seq, depth):
-                placed = True
                 break
-        if placed:
-            next_choice[depth] = c
-            max_used[depth + 1] = mx if letter < mx else letter + 1
-            depth += 1
-            next_choice[depth] = 0
-            if depth > sat_max:
-                sat_max = depth
+            letter += 1
         else:
             depth -= 1
             if depth < 0:
                 return make(Outcome.EXHAUSTED, None)
+            letter = seq[depth] + 1
+            continue
+        depth += 1
+        if depth > sat_max:
+            sat_max = depth
+        if depth == target_length:
+            return make(Outcome.REACHED, Word(a, tuple(seq)))
+        # placing the smallest unused letter admits the next one
+        top[depth] = hi + 1 if letter + 1 == hi < n else hi
+        letter = 0
 
 
 def candidate_exponents(
@@ -373,10 +363,12 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     REACHED witnesses are re-scanned with the naive oracle.  Small EXHAUSTED
     certificates (max_depth <= 12, alphabet <= 3) are re-proved by full
     enumeration of every word of length max_depth+1; larger ones are
-    accepted with independently_verified=False.  A malformed certificate (a
-    negative max_depth or nodes_visited, a witness over another alphabet) is
-    rejected.
+    accepted with independently_verified=False.  A malformed certificate (an
+    alphabet below 1, a negative max_depth or nodes_visited, a witness over
+    another alphabet) is rejected.
     """
+    if cert.alphabet_size < 1:
+        return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
     if cert.nodes_visited < 0:
         return VerificationResult(False, True, f"negative nodes_visited {cert.nodes_visited}")
     if cert.outcome is Outcome.REACHED:

@@ -221,7 +221,9 @@ def parse_word(text: str, alphabet: int) -> Word:
                 raise WordFormatError(
                     f"position {pos}: invalid letter token {tok!r}"
                 ) from None
-            if not 0 <= val < alphabet:
+            if val < 0:
+                raise WordFormatError(f"position {pos}: letter {val} is negative")
+            if val >= alphabet:
                 raise WordFormatError(
                     f"position {pos}: letter {val} >= alphabet size {alphabet}"
                 )

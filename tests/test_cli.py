@@ -555,6 +555,27 @@ def test_node_budget_below_one_exits_2(capsys, tmp_path):
         assert_clean_failure(capsys, tmp_path, argv)
 
 
+_HUGE = "1" + "0" * 400
+
+
+# Sizes the allocator refuses at once: 2**62 list slots fail Python's own
+# size check (MemoryError), and 10**19 or more does not fit an index
+# (OverflowError), so none of these runs allocates anything.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--alphabet", "2", "--threshold", "3", "--max-length", str(2**62)],
+        ["search", "--alphabet", "2", "--threshold", "3", "--max-length", str(10**19)],
+        ["bracket", "--alphabet", "2", "--target-length", str(10**19)],
+        ["search", "--alphabet", _HUGE, "--threshold", "2"],
+        ["bounds", "--alphabet", _HUGE],
+    ],
+    ids=["memory", "overflow-length", "overflow-bracket", "overflow-default-length", "overflow-float"],
+)
+def test_size_overflow_exits_2(capsys, tmp_path, argv):
+    assert_clean_failure(capsys, tmp_path, argv)
+
+
 def test_failed_artifact_write_leaves_nothing(capsys, tmp_path, monkeypatch):
     write_text = Path.write_text
     calls = []

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -75,23 +74,15 @@ def test_reached_monotone_in_threshold():
 
 def test_outcome_independent_of_order_and_symmetry():
     # full small-instance grid: every candidate threshold with denominator
-    # up to 5, both modes, symmetry on/off, scrambled letter orders
-    rng = random.Random(37)
+    # up to 5, both modes, symmetry on/off
     for a in (2, 3):
         for l in (1, 2, 3):
             for r in candidate_exponents(5, 1, 2):
                 for mode in (Mode.GEQ, Mode.STRICT):
                     c = FreenessConstraint(l, r, mode)
-                    shuffled = list(range(a))
-                    rng.shuffle(shuffled)
                     runs = [
                         extend_search(a, c, 30, symmetry=True),
                         extend_search(a, c, 30, symmetry=False),
-                        extend_search(
-                            a, c, 30, symmetry=True,
-                            letter_order=list(reversed(range(a))),
-                        ),
-                        extend_search(a, c, 30, symmetry=False, letter_order=shuffled),
                     ]
                     outcomes = {x.outcome for x in runs}
                     assert len(outcomes) == 1, (a, l, str(r), mode, outcomes)
@@ -123,8 +114,6 @@ def test_extend_search_validation():
         extend_search(0, geq(1, 2), 5)
     with pytest.raises(ValueError):
         extend_search(2, geq(1, 2), 0)
-    with pytest.raises(ValueError):
-        extend_search(2, geq(1, 2), 5, letter_order=[0, 0])
     with pytest.raises(ValueError):
         FreenessConstraint(1, Fraction(1), Mode.GEQ)  # threshold must exceed 1
     with pytest.raises(ValueError, match="alphabet size must be >= 2"):
@@ -300,6 +289,11 @@ def test_verify_rejects_negative_nodes_visited():
             res = verify_certificate(dataclasses.replace(cert, nodes_visited=nodes))
             assert not res.ok
             assert f"negative nodes_visited {nodes}" in res.detail
+        for a in (0, -3):
+            for bad in (cert, dataclasses.replace(cert, max_depth=0)):
+                res = verify_certificate(dataclasses.replace(bad, alphabet_size=a))
+                assert not res.ok
+                assert f"alphabet size {a} below 1" in res.detail
 
 
 def test_verify_rejects_witness_over_another_alphabet():

@@ -47,6 +47,8 @@ def test_parse_comma_format():
     assert parse_word("", 64).letters == ()
     with pytest.raises(WordFormatError, match="letter 64 >= alphabet size 64"):
         parse_word("0,64", 64)
+    with pytest.raises(WordFormatError, match="position 1: letter -1 is negative"):
+        parse_word("1,-1", 40)
     with pytest.raises(WordFormatError, match="invalid letter token"):
         parse_word("1,x", 64)
 
