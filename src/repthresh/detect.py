@@ -76,6 +76,7 @@ is cached across calls.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import MutableSequence
@@ -303,11 +304,9 @@ def _encode(letters, alphabet: int) -> tuple[bytearray, MutableSequence[int]]:
     if width == 1:
         buf = bytearray(letters)
         return buf, buf
-    buf = bytearray(len(letters) * width)
-    seq = memoryview(buf).cast(fmt)
-    for i, x in enumerate(letters):
-        seq[i] = x
-    return buf, seq
+    # native sizes, as memoryview.cast reads them
+    buf = bytearray(struct.pack(f"{len(letters)}{fmt}", *letters))
+    return buf, memoryview(buf).cast(fmt)
 
 
 def _recurrences(buf: bytes | bytearray, k: int, end: int, h: int, lo: int, hi: int) -> list[int]:

@@ -141,8 +141,11 @@ def extend_search(
     any new forbidden occurrence ends at that letter.  The kernel keeps the
     prefix in one byte buffer, finds long-period candidates with C-level
     substring search, and reuses each band search for the positions that
-    follow it, so the cost per node is about flat in depth.  Every call is
-    at the letter just written, as the kernel's call order requires.
+    follow it, so the cost per node grows slowly with depth: a clean
+    placement on (2, 3, 5/3), timed per call, took a median of 2.5-4 us at
+    depths 32-63 and 6.3-8.7 us at depths 2048-4095 (three runs, Python
+    3.11, 2-CPU x86-64 VM).  Every call is at the letter just written, as
+    the kernel's call order requires.
     """
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
@@ -231,13 +234,16 @@ def candidate_exponents(
 
 @dataclass
 class Bracket:
-    """Empirical enclosure of the repetition threshold for (a, l).
+    """Empirical enclosure of the repetition threshold for (a, l), from the
+    walk up ``bracket_threshold``'s ladder: (r, GEQ) for each grid point r
+    ascending, then (2, STRICT).
 
-    r_lo is certified: avoiding exponents >= r_lo is impossible (EXHAUSTED
-    certificate), hence the threshold is at least r_lo.  r_hi is heuristic:
-    a long word avoiding exponents >= r_hi (or, with the strict-fallback
-    flag, strictly above r_hi) was found.  Neither side claims the infimum
-    is attained.
+    r_lo is certified: avoiding exponents >= r_lo is impossible (the highest
+    EXHAUSTED rung), hence the threshold is at least r_lo.  r_hi is
+    heuristic: a long word avoiding exponents >= r_hi (or, with the
+    strict-fallback flag, strictly above r_hi) was found at the first
+    REACHED rung, the last certificate.  Neither side claims the infimum is
+    attained.
     """
 
     a: int
@@ -298,31 +304,31 @@ def bracket_threshold(
     *,
     node_budget: int | None = 5_000_000,
 ) -> Bracket:
-    """Sweep candidate exponents in (1, 2] ascending with mode GEQ.
+    """Walk the ladder (r, GEQ) for each candidate r in (1, 2] ascending,
+    then (2, STRICT), and stop at the first REACHED rung.
 
-    The largest EXHAUSTED candidate becomes r_lo, the smallest REACHED one
-    r_hi; by monotonicity everything above the first REACHED is skipped.
+    Each rung forbids less than the one before: (r, GEQ) forbids more than
+    (r, STRICT), which forbids more than (r', GEQ) for every r' > r.  So an
+    EXHAUSTED rung proves the threshold at least its r (r_lo), a REACHED
+    rung is evidence that it is at most its r (r_hi, with the
+    strict-fallback flag when that rung is STRICT, as for binary alphabets,
+    where squares are unavoidable), and BUDGET_EXCEEDED moves neither end.
     Candidates above 2 are uninteresting (exponents strictly above 2 are
     avoidable over any alphabet of size >= 2, Thue-Morse style).
-
-    When every GEQ candidate exhausts (binary alphabets: squares are
-    unavoidable), one STRICT run at the top candidate backs r_hi instead and
-    the bracket carries the strict-fallback flag: the threshold is then at
-    most r_hi without evidence of avoidance at r_hi itself.
     """
     if alphabet_size < 2:
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
     if target_length is None:
         target_length = default_target_length(alphabet_size, min_period)
     grid = candidate_exponents(max_denominator, Fraction(1), Fraction(2))
+    ladder = [(r, Mode.GEQ) for r in grid] + [(grid[-1], Mode.STRICT)]
     certs: list[SearchCertificate] = []
     r_lo: Fraction | None = None
     r_hi: Fraction | None = None
-    strict_fallback = False
-    for r in grid:
+    for r, mode in ladder:
         cert = extend_search(
             alphabet_size,
-            FreenessConstraint(min_period, r, Mode.GEQ),
+            FreenessConstraint(min_period, r, mode),
             target_length,
             node_budget=node_budget,
         )
@@ -332,19 +338,9 @@ def bracket_threshold(
         elif cert.outcome is Outcome.REACHED:
             r_hi = r
             break
-    if r_hi is None:
-        top = grid[-1]
-        cert = extend_search(
-            alphabet_size,
-            FreenessConstraint(min_period, top, Mode.STRICT),
-            target_length,
-            node_budget=node_budget,
-        )
-        certs.append(cert)
-        if cert.outcome is Outcome.REACHED:
-            r_hi = top
-            strict_fallback = True
-    return Bracket(alphabet_size, min_period, r_lo, r_hi, strict_fallback, certs)
+    return Bracket(
+        alphabet_size, min_period, r_lo, r_hi, r_hi is not None and mode is Mode.STRICT, certs
+    )
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,31 @@ witnesses included.
 
 And the former ``naive_oracle``, which re-judges every start inside a
 match-run and tries every period below n.  Tests hold the oracle equal to
-it, witness and tie rule included."""
+it, witness and tie rule included.
+
+And the former two-phase ``bracket_threshold``: a GEQ sweep, then one STRICT
+search at the top of the grid when no GEQ candidate is reached.  Tests hold
+the one-ladder walk equal to it, certificate field by certificate field."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from repthresh import FreenessConstraint, Mode, Occurrence, SamplerConfig, SplitMix64, Word
+from repthresh import (
+    Bracket,
+    FreenessConstraint,
+    Mode,
+    Occurrence,
+    Outcome,
+    SamplerConfig,
+    SearchCertificate,
+    SplitMix64,
+    Word,
+    candidate_exponents,
+    default_target_length,
+    extend_search,
+)
 
 
 def _required_run(p: int, num: int, den: int, strict: bool) -> int:
@@ -325,3 +343,60 @@ def _scan_max_generic(letters: tuple[int, ...], min_period: int):
                 best = (i, p, p + run)
                 best_num, best_den = p + run, p
     return best
+
+
+def ref_bracket_threshold(
+    alphabet_size: int,
+    min_period: int,
+    max_denominator: int = 6,
+    target_length: int | None = None,
+    *,
+    node_budget: int | None = 5_000_000,
+) -> Bracket:
+    """Sweep candidate exponents in (1, 2] ascending with mode GEQ.
+
+    The largest EXHAUSTED candidate becomes r_lo, the smallest REACHED one
+    r_hi; by monotonicity everything above the first REACHED is skipped.
+    Candidates above 2 are uninteresting (exponents strictly above 2 are
+    avoidable over any alphabet of size >= 2, Thue-Morse style).
+
+    When every GEQ candidate exhausts (binary alphabets: squares are
+    unavoidable), one STRICT run at the top candidate backs r_hi instead and
+    the bracket carries the strict-fallback flag: the threshold is then at
+    most r_hi without evidence of avoidance at r_hi itself.
+    """
+    if alphabet_size < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
+    if target_length is None:
+        target_length = default_target_length(alphabet_size, min_period)
+    grid = candidate_exponents(max_denominator, Fraction(1), Fraction(2))
+    certs: list[SearchCertificate] = []
+    r_lo: Fraction | None = None
+    r_hi: Fraction | None = None
+    strict_fallback = False
+    for r in grid:
+        cert = extend_search(
+            alphabet_size,
+            FreenessConstraint(min_period, r, Mode.GEQ),
+            target_length,
+            node_budget=node_budget,
+        )
+        certs.append(cert)
+        if cert.outcome is Outcome.EXHAUSTED:
+            r_lo = r
+        elif cert.outcome is Outcome.REACHED:
+            r_hi = r
+            break
+    if r_hi is None:
+        top = grid[-1]
+        cert = extend_search(
+            alphabet_size,
+            FreenessConstraint(min_period, top, Mode.STRICT),
+            target_length,
+            node_budget=node_budget,
+        )
+        certs.append(cert)
+        if cert.outcome is Outcome.REACHED:
+            r_hi = top
+            strict_fallback = True
+    return Bracket(alphabet_size, min_period, r_lo, r_hi, strict_fallback, certs)

@@ -88,12 +88,13 @@ def test_deep_reached_search_matches_reference(a, l, r, target):
     assert cert_fields(got) == ref_extend_search(a, c, target)
 
 
-# (alphabet, letter pool) at one, two and eight bytes per letter; the
-# two- and eight-byte pools hold letters whose bytes collide across letter
+# (alphabet, letter pool) at one, two, four and eight bytes per letter;
+# the wider pools hold letters whose bytes collide across letter
 # boundaries, so unaligned rfind hits occur.
 WIDTHS = [
     (256, list(range(256))),
     (300, [1, 256, 257] + list(range(2, 200))),
+    (2**20, [1, 2**16, 2**16 + 1, 2**20 - 1] + [x << 8 for x in range(1, 200)]),
     (2**40, [1, 2**32 + 1, 2**32, 2**39 + 1] + [x << 20 for x in range(1, 200)]),
 ]
 # 41/40 with l=1 has bands with need 1 (no reuse) and need 2 (reuse for
@@ -136,7 +137,7 @@ class _Driver:
         self.hits += bool(got)
 
 
-@pytest.mark.parametrize("alphabet, pool", WIDTHS, ids=("1-byte", "2-byte", "8-byte"))
+@pytest.mark.parametrize("alphabet, pool", WIDTHS, ids=("1-byte", "2-byte", "4-byte", "8-byte"))
 @pytest.mark.parametrize("c", CONSTRAINTS, ids=lambda c: f"{c.threshold}-l{c.min_period}" + "-strict" * (c.mode is Mode.STRICT))
 def test_first_period_in_random_call_orders(alphabet, pool, c):
     rng = random.Random(f"calls/{alphabet}/{c}")
@@ -202,15 +203,16 @@ def test_violations_ending_at_matches_reference(alphabet, letters):
             assert got == ref_violation_ending_at(w.letters, c, pos), (w, c, pos)
 
 
-# Letter pools for lowest_start at one, two and eight bytes per letter.
-# The kernel is sized as the sampler sizes it, min(a, 2**64), so 2**70
-# letters are stored as drawn; the two- and eight-byte pools hold letters
-# whose bytes collide across letter boundaries, so unaligned rfind hits
-# occur and must be skipped.
+# Letter pools for lowest_start at one, two, four and eight bytes per
+# letter.  The kernel is sized as the sampler sizes it, min(a, 2**64), so
+# 2**70 letters are stored as drawn; the wider pools hold letters whose
+# bytes collide across letter boundaries, so unaligned rfind hits occur
+# and must be skipped.
 LOWEST_START_POOLS = {
     2: [0, 1],
     3: [0, 1, 2],
     300: [0, 1, 2, 256, 257],
+    2**20: [0, 1, 2**16, 2**16 + 1, 2**19 + 1, 2**20 - 1],
     2**70: [1, 5, 2**32, 2**32 + 1, 2**39 + 1],
 }
 
@@ -227,7 +229,7 @@ def _copy_word(rng: random.Random, pool: list[int], n: int) -> list[int]:
     return letters
 
 
-@pytest.mark.parametrize("a", sorted(LOWEST_START_POOLS), ids=("a2", "a3", "a300", "a2^70"))
+@pytest.mark.parametrize("a", sorted(LOWEST_START_POOLS), ids=("a2", "a3", "a300", "a2^20", "a2^70"))
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
 # 41/40 has need 1 for every period up to 40
 @pytest.mark.parametrize("r", [Fraction(41, 40), Fraction(5, 4), Fraction(7, 4), Fraction(2)], ids=str)

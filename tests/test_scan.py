@@ -31,7 +31,8 @@ CUTOFFS = (detect_module._FILTER_MIN_WORK, 1)
 # Letters each random word draws from.  At 300 (two bytes per letter) the
 # bytes of 1, 256 and 257 collide across letter boundaries; at 2^33 (eight
 # bytes, no relabelling) 1 and 2^32 + 1 differ only in their upper half;
-# 2^70 is relabelled densely.
+# 2^70 is relabelled densely; at 2^20 (four bytes) the bytes of 1, 2^16
+# and 2^16 + 1 collide across letter boundaries.
 LETTERS = {
     2: (0, 1),
     3: (0, 1, 2),
@@ -39,6 +40,7 @@ LETTERS = {
     300: (0, 1, 256, 257, 299),
     2**33: (1, 2**32 + 1, 2**32, 2**33 - 1),
     2**70: (1, 2**64 + 1, 2**69, 2**70 - 1),
+    2**20: (1, 2**16, 2**16 + 1, 2**20 - 1),
 }
 
 

@@ -20,6 +20,7 @@ from repthresh import (
     parse_word,
     verify_certificate,
 )
+from reference_kernel import ref_bracket_threshold
 
 
 def geq(l, num, den=1):
@@ -405,3 +406,38 @@ def test_bracket_summary_line():
     bracket = bracket_threshold(3, 1, max_denominator=4, target_length=60)
     line = bracket.summary_line()
     assert line.startswith("a=3 l=1 r_lo=7/4 r_hi=2/1 c_hat=3")
+
+
+def _bracket_fields(bracket):
+    certs = [
+        (c.constraint, c.outcome, c.max_depth, c.nodes_visited, c.witness)
+        for c in bracket.certificates
+    ]
+    return bracket.r_lo, bracket.r_hi, bracket.r_hi_strict_fallback, certs
+
+
+def test_bracket_ladder_matches_two_phase_sweep():
+    # the one-ladder walk against the former GEQ sweep with its STRICT
+    # fallback: every cell of the paper's table at the defaults, and small
+    # budgets, where BUDGET_EXCEEDED rungs sit between the two ends
+    sweeps = [((a, l), {}) for a in range(2, 6) for l in range(1, 6)]
+    sweeps += [
+        ((a, l), {"max_denominator": den, "target_length": target, "node_budget": budget})
+        for a, l in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+        for den in (2, 3, 6)
+        for target in (20, 60)
+        for budget in (1, 2, 5, 50, 500)
+    ]
+    outcomes = set()
+    for args, kwargs in sweeps:
+        bracket = bracket_threshold(*args, **kwargs)
+        assert _bracket_fields(bracket) == _bracket_fields(ref_bracket_threshold(*args, **kwargs)), (args, kwargs)
+        certs = bracket.certificates
+        outcomes.update(c.outcome for c in certs)
+        exhausted = [c.constraint.threshold for c in certs if c.outcome is Outcome.EXHAUSTED]
+        assert bracket.r_lo == max(exhausted, default=None)
+        reached = [c for c in certs if c.outcome is Outcome.REACHED]
+        assert reached in ([], certs[-1:])
+        assert bracket.r_hi == (reached[0].constraint.threshold if reached else None)
+        assert bracket.r_hi_strict_fallback == (bool(reached) and reached[0].constraint.mode is Mode.STRICT)
+    assert outcomes == set(Outcome)
