@@ -19,9 +19,11 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, islice
 
 from .words import Occurrence, Word, fraction_json
 
@@ -56,7 +58,7 @@ def thue_morse(n: int) -> Word:
     t = b"\x00"
     while len(t) < n:
         t += t.translate(_FLIP)
-    return Word(2, tuple(t[:n]))
+    return Word(2, t[:n])
 
 
 def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:
@@ -119,14 +121,17 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
         raise ValueError(f"block size must be >= 1, got {l}")
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    values = [rank_map_block_extend(i, m, l) for i in range(n)]
+    # f(i) = f(i mod l) + (i div l) * L, as in rank_map_block_extend
+    block = [value for _, _, value in rank_map_table(m, l)]
+    image = rank_map_image_size(m, l)
+    values = [block[i % l] + i // l * image for i in range(n)]
     needed = max(values) + 1 if values else 0
     if needed > len(source):
         raise ValueError(
             f"source word too short: need {needed} letters, have {len(source)}"
         )
     src = source.letters
-    return Word(source.alphabet, tuple(src[v] for v in values))
+    return Word(source.alphabet, map(src.__getitem__, values))
 
 
 def colorize(base: Word, a: int, l: int) -> Word:
@@ -144,11 +149,10 @@ def colorize(base: Word, a: int, l: int) -> Word:
         raise ValueError(f"block size must be >= 1, got {l}")
     if base.alphabet != 2:
         raise ValueError(f"base word must be binary, got alphabet {base.alphabet}")
-    h = a // 2
-    letters = tuple(
-        2 * ((p // l) % h) + bit for p, bit in enumerate(base.letters)
-    )
-    return Word(a, letters)
+    # the colour offsets 2*((p//l) % (a/2)) repeat with period (a/2)*l
+    n = len(base)
+    offsets = [2 * (p // l) for p in range(min(n, a // 2 * l))]
+    return Word(a, map(operator.add, islice(cycle(offsets), n), base.letters))
 
 
 def pigeonhole_witness(w: Word, a: int, l: int) -> Occurrence:

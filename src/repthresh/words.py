@@ -36,6 +36,9 @@ __all__ = [
 # Letter characters for alphabets of size <= 36: '0'..'9' then 'a'..'z'.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: v for v, c in enumerate(_DIGITS)}
+# The same map as a bytes.translate table over ASCII: a letter character's
+# byte goes to its value, every other byte to 255.
+_DIGIT_TABLE = bytes(_DIGIT_VALUE.get(chr(b), 255) for b in range(256))
 
 
 class WordFormatError(ValueError):
@@ -57,18 +60,31 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class Word:
-    """A finite word over the alphabet {0, ..., alphabet-1}."""
+    """A finite word over the alphabet {0, ..., alphabet-1}.
+
+    `letters` may be any iterable of ints; it is stored as a tuple.  Letters
+    given as `bytes` or `bytearray` are range-checked in one C pass (deleting
+    every byte below the alphabet size leaves nothing), any other form
+    letter by letter.
+    """
 
     alphabet: int
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.alphabet < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.alphabet}")
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
         a = self.alphabet
-        for pos, x in enumerate(self.letters):
+        if a < 1:
+            raise ValueError(f"alphabet size must be >= 1, got {a}")
+        letters = self.letters
+        if not isinstance(letters, tuple):
+            checked = isinstance(letters, (bytes, bytearray)) and not letters.translate(
+                None, bytes(range(min(a, 256)))
+            )
+            letters = tuple(letters)
+            object.__setattr__(self, "letters", letters)
+            if checked:
+                return
+        for pos, x in enumerate(letters):
             if not 0 <= x < a:
                 raise ValueError(
                     f"position {pos}: letter {x} out of range for alphabet size {a}"
@@ -185,12 +201,8 @@ def verify_occurrence(w: Word, occ: Occurrence) -> bool:
     """
     if occ.end > len(w):
         return False
-    letters = w.letters
-    p = occ.period
-    for i in range(occ.start, occ.end - p):
-        if letters[i] != letters[i + p]:
-            return False
-    return True
+    letters, s, e, p = w.letters, occ.start, occ.end, occ.period
+    return letters[s : e - p] == letters[s + p : e]
 
 
 def parse_word(text: str, alphabet: int) -> Word:
@@ -199,11 +211,20 @@ def parse_word(text: str, alphabet: int) -> Word:
     For alphabet <= 36 each letter is a single character ('0'-'9' then
     'a'-'z'); above that, letters are comma-separated decimal integers.
     The empty string decodes to the empty word in both regimes.
+
+    Single-character text is decoded in C passes: ASCII text is mapped
+    through `_DIGIT_TABLE` by one `bytes.translate` and range-checked by
+    a second.  Only text that fails is walked character by character, to
+    name its first bad position.
     """
     if alphabet < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
     letters: list[int] = []
     if alphabet <= 36:
+        if text.isascii():
+            values = text.encode("ascii").translate(_DIGIT_TABLE)
+            if not values.translate(None, bytes(range(alphabet))):
+                return Word(alphabet, values)
         for pos, ch in enumerate(text):
             val = _DIGIT_VALUE.get(ch)
             if val is None:

@@ -17,7 +17,11 @@ it, witness and tie rule included.
 
 And the former two-phase ``bracket_threshold``: a GEQ sweep, then one STRICT
 search at the top of the grid when no GEQ candidate is reached.  Tests hold
-the one-ladder walk equal to it, certificate field by certificate field."""
+the one-ladder walk equal to it, certificate field by certificate field.
+
+And the former ``parse_word``, which decodes and range-checks text one
+character (or one comma-separated token) at a time.  Tests hold the
+translate-based decoder equal to it, letters and error text included."""
 
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from repthresh import (
     SearchCertificate,
     SplitMix64,
     Word,
+    WordFormatError,
     candidate_exponents,
     default_target_length,
     extend_search,
@@ -400,3 +405,38 @@ def ref_bracket_threshold(
             r_hi = top
             strict_fallback = True
     return Bracket(alphabet_size, min_period, r_lo, r_hi, strict_fallback, certs)
+
+
+_REF_DIGIT_VALUE = {c: v for v, c in enumerate("0123456789abcdefghijklmnopqrstuvwxyz")}
+
+
+def ref_parse_word(text: str, alphabet: int) -> Word:
+    if alphabet < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
+    letters: list[int] = []
+    if alphabet <= 36:
+        for pos, ch in enumerate(text):
+            val = _REF_DIGIT_VALUE.get(ch)
+            if val is None:
+                raise WordFormatError(f"position {pos}: invalid letter character {ch!r}")
+            if val >= alphabet:
+                raise WordFormatError(
+                    f"position {pos}: letter {val} >= alphabet size {alphabet}"
+                )
+            letters.append(val)
+    elif text:
+        for pos, tok in enumerate(text.split(",")):
+            try:
+                val = int(tok)
+            except ValueError:
+                raise WordFormatError(
+                    f"position {pos}: invalid letter token {tok!r}"
+                ) from None
+            if val < 0:
+                raise WordFormatError(f"position {pos}: letter {val} is negative")
+            if val >= alphabet:
+                raise WordFormatError(
+                    f"position {pos}: letter {val} >= alphabet size {alphabet}"
+                )
+            letters.append(val)
+    return Word(alphabet, tuple(letters))

@@ -10,14 +10,18 @@ from repthresh import (
     Occurrence,
     Word,
     WordFormatError,
+    build_mapped_word,
+    colorize,
     parse_exponent,
     parse_word,
+    rank_map_block_extend,
     read_word_file,
     render_word,
     verify_occurrence,
 )
 from repthresh.words import fraction_from_json, fraction_json
 from conftest import periodic_prefix_oracle, random_word
+from reference_kernel import ref_parse_word
 
 
 def test_parse_basic():
@@ -71,6 +75,85 @@ def test_word_validation():
         Word(2, (0, 2))
     with pytest.raises(ValueError):
         Word(2, (-1,))
+
+
+def test_word_accepts_every_iterable_form():
+    forms = {
+        "generator": lambda: (x for x in range(5)),
+        "list": lambda: list(range(5)),
+        "range": lambda: range(5),
+        "tuple": lambda: tuple(range(5)),
+        "bytes": lambda: bytes(range(5)),
+        "bytearray": lambda: bytearray(range(5)),
+    }
+    for name, make in forms.items():
+        w = Word(5, make())
+        assert type(w.letters) is tuple and w.letters == (0, 1, 2, 3, 4), name
+        with pytest.raises(ValueError) as exc:
+            Word(3, make())
+        assert str(exc.value) == "position 3: letter 3 out of range for alphabet size 3", name
+    for empty in ((), [], range(0), iter(()), b"", bytearray()):
+        assert Word(2, empty).letters == ()
+    with pytest.raises(ValueError, match="^position 1: letter 255 out of range for alphabet size 3$"):
+        Word(3, b"\x00\xff")
+    assert Word(300, bytes([255, 0])).letters == (255, 0)
+    assert Word(256, bytearray([255])).letters == (255,)
+
+
+def _decode_both(text, alphabet):
+    """parse_word and the reference decoder on one text: ("ok", letters) or
+    ("error", message) for each."""
+    results = []
+    for parse in (parse_word, ref_parse_word):
+        try:
+            letters = parse(text, alphabet).letters
+        except WordFormatError as exc:
+            results.append(("error", str(exc)))
+        else:
+            assert type(letters) is tuple
+            results.append(("ok", letters))
+    return results
+
+
+def test_decoder_and_lift_match_reference():
+    rng = random.Random(17)
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+    junk = list("ABZ!.-_ ,;\t") + ["\u00e9", "\u2603"]
+    errors = 0
+    for _ in range(4500):
+        a = rng.choice([1, 2, 3, 10, 35, 36, 37, 64, 300])
+        bad = rng.choice([0.0, 0.01, 0.05, 0.3])
+        n = rng.randrange(0, 60)
+        if a <= 36:
+            bad_pieces = junk + list(digits[a:])  # invalid characters, out-of-range digits
+            pieces = [rng.choice(bad_pieces) if rng.random() < bad else digits[rng.randrange(a)] for _ in range(n)]
+            text = "".join(pieces)
+        else:
+            bad_pieces = junk + ["", "-1", "+3", " 7", "1e3", str(a), str(a + 1)]
+            pieces = [rng.choice(bad_pieces) if rng.random() < bad else str(rng.randrange(a)) for _ in range(n)]
+            text = ",".join(pieces)
+        new, ref = _decode_both(text, a)
+        assert new == ref, (text, a)
+        errors += new[0] == "error"
+    assert 1000 < errors < 3500
+    # an out-of-range digit before an invalid character is reported first
+    assert _decode_both("2!", 2) == [("error", "position 0: letter 2 >= alphabet size 2")] * 2
+
+    for _ in range(300):
+        a = rng.randrange(6, 301, 2)
+        l = rng.randint(1, 12)
+        n = rng.choice([0, rng.randrange(a // 2 * l), rng.randrange(3 * a * l)])
+        bits = [rng.randrange(2) for _ in range(n)]
+        lifted = colorize(Word(2, bits), a, l)
+        assert lifted.letters == tuple(2 * ((p // l) % (a // 2)) + b for p, b in enumerate(bits))
+
+    for _ in range(200):
+        m, l = rng.randint(2, 4), rng.randint(1, 20)
+        n = rng.randrange(0, 200)
+        values = [rank_map_block_extend(i, m, l) for i in range(n)]
+        source = random_word(rng, 300, max(values, default=-1) + 1 + rng.randrange(3))
+        mapped = build_mapped_word(source, m, l, n)
+        assert mapped.letters == tuple(source.letters[v] for v in values)
 
 
 def test_read_word_file(tmp_path):
