@@ -216,6 +216,11 @@ def parse_word(text: str, alphabet: int) -> Word:
     through `_DIGIT_TABLE` by one `bytes.translate` and range-checked by
     a second.  Only text that fails is walked character by character, to
     name its first bad position.
+
+    A comma-format token is a letter only if it is one or more ASCII
+    digits; a minus sign before a nonzero value is reported as a negative
+    letter, and any other token (signs, spaces, `_` separators, non-ASCII
+    digits, "-0") as invalid.
     """
     if alphabet < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
@@ -236,8 +241,14 @@ def parse_word(text: str, alphabet: int) -> Word:
             letters.append(val)
     elif text:
         for pos, tok in enumerate(text.split(",")):
+            digits = tok.removeprefix("-")
             try:
-                val = int(tok)
+                # int() alone also reads signs, spaces, '_' and non-ASCII digits
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                val = int(tok)  # past int()'s digit limit this raises too
+                if digits != tok and not val:  # "-0" is not a negative letter
+                    raise ValueError
             except ValueError:
                 raise WordFormatError(
                     f"position {pos}: invalid letter token {tok!r}"

@@ -21,10 +21,18 @@ the one-ladder walk equal to it, certificate field by certificate field.
 
 And the former ``parse_word``, which decodes and range-checks text one
 character (or one comma-separated token) at a time.  Tests hold the
-translate-based decoder equal to it, letters and error text included."""
+translate-based decoder equal to it, letters and error text included.  Its
+comma tokens follow the current rule: one or more ASCII digits, or a minus
+sign before a nonzero value (a negative letter); ``int()`` alone would also
+read signs, spaces, ``_`` and non-ASCII digits.
+
+And the former ``verify_certificate``, which re-enumerates every one of the
+alphabet**(max_depth+1) words, not only the canonical ones.  Tests hold the
+canonical enumeration equal to it, verdict and detail text included."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,12 +45,16 @@ from repthresh import (
     SamplerConfig,
     SearchCertificate,
     SplitMix64,
+    VerificationResult,
     Word,
     WordFormatError,
     candidate_exponents,
     default_target_length,
     extend_search,
+    naive_oracle,
+    render_word,
 )
+from repthresh.search import _REVERIFY_MAX_ALPHABET, _REVERIFY_MAX_DEPTH
 
 
 def _required_run(p: int, num: int, den: int, strict: bool) -> int:
@@ -426,12 +438,10 @@ def ref_parse_word(text: str, alphabet: int) -> Word:
             letters.append(val)
     elif text:
         for pos, tok in enumerate(text.split(",")):
-            try:
-                val = int(tok)
-            except ValueError:
-                raise WordFormatError(
-                    f"position {pos}: invalid letter token {tok!r}"
-                ) from None
+            sign, digits = (-1, tok[1:]) if tok[:1] == "-" else (1, tok)
+            if not digits or any(ch not in "0123456789" for ch in digits) or sign < 0 and int(digits) == 0:
+                raise WordFormatError(f"position {pos}: invalid letter token {tok!r}")
+            val = sign * int(digits)
             if val < 0:
                 raise WordFormatError(f"position {pos}: letter {val} is negative")
             if val >= alphabet:
@@ -440,3 +450,68 @@ def ref_parse_word(text: str, alphabet: int) -> Word:
                 )
             letters.append(val)
     return Word(alphabet, tuple(letters))
+
+
+def ref_verify_certificate(cert: SearchCertificate) -> VerificationResult:
+    """Re-check a certificate against independent machinery.
+
+    REACHED witnesses are re-scanned with the naive oracle.  Small EXHAUSTED
+    certificates (max_depth <= 12, alphabet <= 3) are re-proved by full
+    enumeration of every word of length max_depth+1; larger ones are
+    accepted with independently_verified=False.  A malformed certificate (an
+    alphabet below 1, a negative max_depth or nodes_visited, a witness over
+    another alphabet) is rejected.
+    """
+    if cert.alphabet_size < 1:
+        return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
+    if cert.nodes_visited < 0:
+        return VerificationResult(False, True, f"negative nodes_visited {cert.nodes_visited}")
+    if cert.outcome is Outcome.REACHED:
+        if cert.witness is None:
+            return VerificationResult(False, True, "REACHED without witness")
+        if len(cert.witness) < 1:
+            return VerificationResult(False, True, "empty witness")
+        if cert.witness.alphabet != cert.alphabet_size:
+            return VerificationResult(
+                False,
+                True,
+                f"witness over {cert.witness.alphabet} letters, certificate over {cert.alphabet_size}",
+            )
+        occ = naive_oracle(cert.witness, cert.constraint)
+        if occ is not None:
+            return VerificationResult(
+                False,
+                True,
+                f"witness violates constraint at start={occ.start} period={occ.period}",
+            )
+        return VerificationResult(True, True, "witness oracle-clean")
+    if cert.outcome is Outcome.BUDGET_EXCEEDED:
+        return VerificationResult(True, False, "budget outcome claims nothing")
+    if cert.max_depth is None:
+        return VerificationResult(False, True, "EXHAUSTED without max_depth")
+    if cert.max_depth < 0:
+        return VerificationResult(False, True, f"negative max_depth {cert.max_depth}")
+    depth = cert.max_depth
+    if depth > _REVERIFY_MAX_DEPTH or cert.alphabet_size > _REVERIFY_MAX_ALPHABET:
+        return VerificationResult(True, False, "not independently re-verified")
+    a = cert.alphabet_size
+    for candidate in itertools.product(range(a), repeat=depth + 1):
+        w = Word(a, candidate)
+        if naive_oracle(w, cert.constraint) is None:
+            return VerificationResult(
+                False,
+                True,
+                f"counterexample of length {depth + 1}: {render_word(w)}",
+            )
+    if depth >= 1:
+        # max_depth must be attained, not just be an upper bound
+        if all(
+            naive_oracle(Word(a, candidate), cert.constraint) is not None
+            for candidate in itertools.product(range(a), repeat=depth)
+        ):
+            return VerificationResult(
+                False, True, f"no satisfying word of the claimed depth {depth}"
+            )
+    return VerificationResult(
+        True, True, f"re-enumerated all {a ** (depth + 1)} words of length {depth + 1}"
+    )

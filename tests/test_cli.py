@@ -501,6 +501,11 @@ def test_detect_non_ascii_text_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_detect_signed_comma_token_exits_2(capsys, tmp_path):
+    # int() reads "+3" as 3; the decoder takes only ASCII digits
+    assert_clean_failure(capsys, tmp_path, ["detect", "--alphabet", "64", "--text", "+3"])
+
+
 # One argv per artifact-writing subcommand; each run succeeds when --out
 # is writable.
 WRITING_ARGVS = {

@@ -118,6 +118,30 @@ def test_naive_oracle_matches_reference():
                     assert naive_oracle(w, c) == ref_naive_oracle(w, c), (w, l, str(r), mode)
 
 
+def test_naive_oracle_is_invariant_under_renaming():
+    """The oracle compares letters only for equality, so renaming the
+    alphabet by a permutation leaves its answer unchanged, witness
+    included.  verify_certificate relies on this to check only canonical
+    words."""
+    rng = random.Random(2718)
+    pool = sorted({Fraction(num, den) for den in range(1, 7)
+                   for num in range(den + 1, 3 * den + 1)})
+    found = 0
+    for _ in range(2500):
+        a = rng.choice([2, 3, 4, 300])
+        # a few letters of the alphabet, so that repetitions are common
+        used = rng.sample(range(a), min(a, rng.randint(2, 4)))
+        w = Word(a, tuple(rng.choice(used) for _ in range(rng.randint(1, 40))))
+        sigma = rng.sample(range(a), a)
+        renamed = Word(a, tuple(sigma[x] for x in w.letters))
+        mode = rng.choice([Mode.GEQ, Mode.STRICT])
+        c = FreenessConstraint(rng.randint(1, 5), rng.choice(pool), mode)
+        occ = naive_oracle(w, c)
+        assert naive_oracle(renamed, c) == occ, (w, renamed, c)
+        found += occ is not None
+    assert 500 < found < 2000
+
+
 def _min_violating_run(p, c):
     """Least run r >= 1 with (p + r)/p meeting the threshold, by search."""
     r = 1

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -20,7 +21,8 @@ from repthresh import (
     parse_word,
     verify_certificate,
 )
-from reference_kernel import ref_bracket_threshold
+from repthresh.search import _REVERIFY_MAX_DEPTH, _canonical_words
+from reference_kernel import ref_bracket_threshold, ref_verify_certificate
 
 
 def geq(l, num, den=1):
@@ -326,6 +328,69 @@ def test_verify_large_exhausted_is_flagged():
     )
     res = verify_certificate(cert)
     assert res.ok and not res.independently_verified
+
+
+def _stirling2(n, k):
+    """Stirling number of the second kind, by its recurrence."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_canonical_words_are_the_canonical_product_tuples():
+    # canonical: letters first appear in the order 0, 1, 2, ...
+    for a in range(1, 5):
+        for n in range(8):
+            expected = [
+                t for t in itertools.product(range(a), repeat=n)
+                if list(dict.fromkeys(t)) == list(range(len(set(t))))
+            ]
+            got = list(_canonical_words(a, n))
+            assert got == expected, (a, n)
+            assert len(got) == sum(_stirling2(n, k) for k in range(a + 1)), (a, n)
+
+
+# The reference re-enumerates at most this many words of one length.
+_CHEAP_WORDS = 3**8
+
+
+def test_verify_matches_full_enumeration():
+    """The canonical enumeration gives the verdict of the former full one,
+    detail text included: on every bracket certificate of {2, 3} x {1, 2, 3}
+    with symmetry on and off, on each EXHAUSTED one with max_depth one too
+    low (a counterexample) and one too high (no word of the claimed depth),
+    and at max_depth 0.  Certificates whose enumeration would pass
+    _CHEAP_WORDS words are left out; criterion 8 re-proves the deep ones."""
+    certs = []
+    for a in (2, 3):
+        for l in (1, 2, 3):
+            for cert in bracket_threshold(a, l).certificates:
+                off = extend_search(a, cert.constraint, default_target_length(a, l), symmetry=False)
+                assert not off.symmetry_reduced and off.outcome is cert.outcome
+                certs += [cert, off]
+    certs += [
+        dataclasses.replace(cert, max_depth=cert.max_depth + step)
+        for cert in certs
+        if cert.outcome is Outcome.EXHAUSTED
+        for step in (-1, 1)
+    ]
+    certs += [
+        SearchCertificate(a, geq(1, 2), Outcome.EXHAUSTED, 0, 1, None, True, 0.0)
+        for a in (1, 2, 3)
+    ]
+    cheap = [
+        cert for cert in certs
+        if cert.max_depth is None
+        or cert.max_depth > _REVERIFY_MAX_DEPTH
+        or cert.alphabet_size ** (cert.max_depth + 1) <= _CHEAP_WORDS
+    ]
+    seen = set()
+    for cert in cheap:
+        res = verify_certificate(cert)
+        assert res == ref_verify_certificate(cert), cert  # ok, independently_verified, detail
+        seen.add(res.detail.split(" ")[0])
+    assert seen == {"re-enumerated", "counterexample", "no", "witness", "not"}
+    assert len(cheap) > len(certs) // 2
 
 
 def test_verify_budget_certificate():

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,43 @@ def test_parse_comma_format():
         parse_word("1,-1", 40)
     with pytest.raises(WordFormatError, match="invalid letter token"):
         parse_word("1,x", 64)
+
+
+def test_comma_tokens_are_ascii_digits():
+    # int() alone also reads signs, spaces, '_' separators and non-ASCII
+    # digits; none of these is a letter
+    for text, pos, tok in [
+        (" 7", 0, " 7"), ("7 ", 0, "7 "), ("+3", 0, "+3"), ("1_0", 0, "1_0"),
+        ("\u0663", 0, "\u0663"), ("1,\uff12", 1, "\uff12"), ("1, 2", 1, " 2"),
+        ("-0", 0, "-0"), ("5,-00", 1, "-00"), ("-", 0, "-"), ("--1", 0, "--1"),
+        ("2,1e3", 1, "1e3"), ("1,,2", 1, ""), ("3,", 1, ""), (",", 0, ""),
+    ]:
+        with pytest.raises(WordFormatError) as exc:
+            parse_word(text, 64)
+        assert str(exc.value) == f"position {pos}: invalid letter token {tok!r}", text
+    for text, message in [
+        ("-007", "position 0: letter -7 is negative"),
+        ("4,-12", "position 1: letter -12 is negative"),
+        ("99,x", "position 0: letter 99 >= alphabet size 64"),
+        ("1,x,99", "position 1: invalid letter token 'x'"),
+        ("0,64", "position 1: letter 64 >= alphabet size 64"),
+    ]:
+        with pytest.raises(WordFormatError) as exc:
+            parse_word(text, 64)
+        assert str(exc.value) == message, text
+    # a token past int()'s digit limit (Python 3.10.7 and later) is reported,
+    # not raised as a bare ValueError; without the limit it is read as a letter
+    if hasattr(sys, "get_int_max_str_digits"):
+        expected = "^position 1: invalid letter token '999"
+    else:
+        expected = "^position 1: letter 999+ >= alphabet size 64$"
+    with pytest.raises(WordFormatError, match=expected):
+        parse_word("1," + "9" * 5000, 64)
+    # leading zeros are still letters
+    assert parse_word("007,0,63,00", 64).letters == (7, 0, 63, 0)
+    rng = random.Random(7)
+    letters = tuple(rng.randrange(300) for _ in range(500))
+    assert parse_word(",".join(map(str, letters)), 300).letters == letters
 
 
 def test_render_roundtrip_random():
