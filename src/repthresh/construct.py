@@ -88,7 +88,7 @@ def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:
 def rank_map_image_size(m: int, l: int) -> int:
     """L = number of source positions used by one block; the image of
     [0, l) under f is exactly {0, ..., L-1}."""
-    return 1 + max(rank_map_eval(i, m, l)[0] for i in range(l))
+    return 1 + max(value for _, _, value in rank_map_table(m, l))
 
 
 def rank_map_block_extend(i: int, m: int, l: int) -> int:

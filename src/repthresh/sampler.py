@@ -189,7 +189,7 @@ def _run_sampler(
             if p:
                 break
         else:
-            word = Word(alphabet_size, tuple(seq))
+            word = Word(alphabet_size, seq)
             return SamplerReport(word, count, histogram, config.seed), trace
         if count >= config.max_resamples:
             return SamplerReport(None, count, histogram, config.seed), trace

@@ -202,7 +202,7 @@ def extend_search(
         if depth > sat_max:
             sat_max = depth
         if depth == target_length:
-            return make(Outcome.REACHED, Word(a, tuple(seq)))
+            return make(Outcome.REACHED, Word(a, seq))
         # placing the smallest unused letter admits the next one
         top[depth] = hi + 1 if letter + 1 == hi < n else hi
         letter = 0

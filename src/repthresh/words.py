@@ -35,10 +35,9 @@ __all__ = [
 
 # Letter characters for alphabets of size <= 36: '0'..'9' then 'a'..'z'.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_DIGIT_VALUE = {c: v for v, c in enumerate(_DIGITS)}
 # The same map as a bytes.translate table over ASCII: a letter character's
 # byte goes to its value, every other byte to 255.
-_DIGIT_TABLE = bytes(_DIGIT_VALUE.get(chr(b), 255) for b in range(256))
+_DIGIT_TABLE = bytes(_DIGITS.find(chr(b)) % 256 for b in range(256))
 
 
 class WordFormatError(ValueError):
@@ -153,6 +152,7 @@ class FreenessConstraint:
             )
         if not isinstance(self.threshold, Fraction):
             object.__setattr__(self, "threshold", Fraction(self.threshold))
+        object.__setattr__(self, "mode", Mode(self.mode))
         if self.threshold <= 1:
             # Nothing is avoidable at threshold 1: every word is its own
             # first power, so such a constraint is meaningless.
@@ -212,10 +212,12 @@ def parse_word(text: str, alphabet: int) -> Word:
     'a'-'z'); above that, letters are comma-separated decimal integers.
     The empty string decodes to the empty word in both regimes.
 
-    Single-character text is decoded in C passes: ASCII text is mapped
-    through `_DIGIT_TABLE` by one `bytes.translate` and range-checked by
-    a second.  Only text that fails is walked character by character, to
-    name its first bad position.
+    Single-character text is decoded, range-checked and, if bad, located
+    in C passes.  "replace" makes each non-ASCII code point (lone
+    surrogates too) one '?', which maps to 255 like any non-letter, so
+    byte i is character i up to the first bad one.  The first byte left
+    once the good values are deleted is that bad one's value; an earlier
+    copy would be bad too and left first, so its first index is its position.
 
     A comma-format token is a letter only if it is one or more ASCII
     digits; a minus sign before a nonzero value is reported as a negative
@@ -226,19 +228,14 @@ def parse_word(text: str, alphabet: int) -> Word:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
     letters: list[int] = []
     if alphabet <= 36:
-        if text.isascii():
-            values = text.encode("ascii").translate(_DIGIT_TABLE)
-            if not values.translate(None, bytes(range(alphabet))):
-                return Word(alphabet, values)
-        for pos, ch in enumerate(text):
-            val = _DIGIT_VALUE.get(ch)
-            if val is None:
-                raise WordFormatError(f"position {pos}: invalid letter character {ch!r}")
-            if val >= alphabet:
-                raise WordFormatError(
-                    f"position {pos}: letter {val} >= alphabet size {alphabet}"
-                )
-            letters.append(val)
+        values = text.encode("ascii", "replace").translate(_DIGIT_TABLE)
+        bad = values.translate(None, bytes(range(alphabet)))
+        if not bad:
+            return Word(alphabet, values)
+        pos = values.index(bad[0])
+        if bad[0] == 255:
+            raise WordFormatError(f"position {pos}: invalid letter character {text[pos]!r}")
+        raise WordFormatError(f"position {pos}: letter {bad[0]} >= alphabet size {alphabet}")
     elif text:
         for pos, tok in enumerate(text.split(",")):
             digits = tok.removeprefix("-")
@@ -260,7 +257,7 @@ def parse_word(text: str, alphabet: int) -> Word:
                     f"position {pos}: letter {val} >= alphabet size {alphabet}"
                 )
             letters.append(val)
-    return Word(alphabet, tuple(letters))
+    return Word(alphabet, letters)
 
 
 def render_word(w: Word) -> str:

@@ -494,10 +494,13 @@ def test_detect_missing_word_file_exits_2(capsys, tmp_path):
 
 
 def test_detect_non_ascii_text_exits_2(capsys, tmp_path):
-    # non-ASCII text skips the decoder's translate pass and is walked
-    # character by character
+    # non-ASCII text goes through the decoder's translate pass as '?'
     assert main(["detect", "--alphabet", "2", "--text", "01\u00e9"]) == 2
     assert capsys.readouterr().err == "error: position 2: invalid letter character '\u00e9'\n"
+    assert list(tmp_path.iterdir()) == []
+    # argv holds an undecodable byte as a lone surrogate
+    assert main(["detect", "--alphabet", "2", "--text", "0\udcff1"]) == 2
+    assert capsys.readouterr().err == "error: position 1: invalid letter character '\\udcff'\n"
     assert list(tmp_path.iterdir()) == []
 
 

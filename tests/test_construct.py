@@ -90,6 +90,8 @@ def test_rank_map_validation():
         rank_map_eval(0, 2, 0)
     with pytest.raises(ValueError, match="index must be >= 0"):
         rank_map_block_extend(-1, 2, 8)
+    with pytest.raises(ValueError, match="block size must be >= 1, got 0"):
+        rank_map_image_size(2, 0)
 
 
 def test_rank_map_block_extend_rejects_block_below_one():

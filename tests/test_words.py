@@ -13,6 +13,9 @@ from repthresh import (
     WordFormatError,
     build_mapped_word,
     colorize,
+    detect,
+    exists_repetition,
+    naive_oracle,
     parse_exponent,
     parse_word,
     rank_map_block_extend,
@@ -176,6 +179,16 @@ def test_decoder_and_lift_match_reference():
     assert 1000 < errors < 3500
     # an out-of-range digit before an invalid character is reported first
     assert _decode_both("2!", 2) == [("error", "position 0: letter 2 >= alphabet size 2")] * 2
+    # non-ASCII text: each code point, lone surrogates from undecodable argv
+    # bytes and characters outside the BMP included, is one position
+    for text, a in [("0\ud8001", 2), ("0\udcff1", 2), ("0?1", 2), ("0\U0001f6001", 2),
+                    ("e\u0301", 2), ("e\u0301", 16), ("2\u00e9", 2), ("\u00e92", 2)]:
+        new, ref = _decode_both(text, a)
+        assert new == ref and new[0] == "error", (text, a)
+    assert _decode_both("0\udcff1", 2)[0] == ("error", "position 1: invalid letter character '\\udcff'")
+    assert _decode_both("e\u0301", 16)[0] == ("error", "position 1: invalid letter character '\u0301'")
+    assert _decode_both("2\u00e9", 2)[0] == ("error", "position 0: letter 2 >= alphabet size 2")
+    assert _decode_both("\u00e92", 2)[0] == ("error", "position 0: invalid letter character '\u00e9'")
 
     for _ in range(300):
         a = rng.randrange(6, 301, 2)
@@ -285,6 +298,18 @@ def test_constraint_validation():
     assert geq.forbids(Fraction(3, 2))
     assert geq.forbids_occurrence(Occurrence(0, 2, 3))
     assert not geq.forbids_occurrence(Occurrence(0, 1, 2))  # period below minimum
+    # a mode given as its value is normalised to the member, so every
+    # detector reads it the same way
+    w = Word(2, (0, 0))
+    for mode in Mode:
+        c = FreenessConstraint(1, Fraction(2), mode.value)
+        assert c.mode is mode
+        assert c == FreenessConstraint(1, Fraction(2), mode)
+        square = Occurrence(0, 1, 2) if mode is Mode.GEQ else None
+        assert naive_oracle(w, c) == exists_repetition(w, c) == square
+        assert detect(w, 1, c).constraint_violated is (square is not None)
+    with pytest.raises(ValueError, match="'GEQ' is not a valid Mode"):
+        FreenessConstraint(1, Fraction(2), "GEQ")
 
 
 def test_constraint_rejects_float_threshold():
