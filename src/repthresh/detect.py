@@ -3,13 +3,18 @@ exponent meets a threshold.
 
 Two independent routes are kept deliberately separate:
 
-* ``naive_oracle`` judges every maximal match-run of every period that
-  could reach the threshold, by direct letter comparison.  At period p a
+* The naive route is one scan, ``_naive_wins``, with two views.  It
+  judges every maximal match-run of every period that could reach the
+  threshold, by direct letter comparison, and yields in (period, start)
+  order each violating run that beats the best so far.  At period p a
   violating run has at least m letters, so letters are compared only at
   probes m-1 past the first index where an unjudged run can start, and a
-  probe that matches is widened both ways to its maximal run.  It is the
-  ground truth and stays dumb on purpose: no packing, no byte
-  search, no code shared with the scanners or the kernel.
+  probe that matches is widened both ways to its maximal run.
+  ``naive_oracle`` keeps the last run, the maximal-exponent witness;
+  ``search.verify_certificate`` asks only whether a word violates, so it
+  takes the first run and stops there.  It is the ground truth and stays
+  dumb on purpose: no packing, no byte search, no code shared with the
+  scanners or the kernel.
 * ``exists_repetition`` / ``max_exponent`` scan match-runs per period
   (for each shift p, the maximal blocks where w[i] == w[i+p]; a block of
   length len gives the occurrence (i, p, p+len)).  Both read one scan,
@@ -125,15 +130,36 @@ def _required_run(p: int, num: int, den: int, strict: bool) -> int:
 
 
 def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
-    """Ground-truth scan: judge every maximal match-run of every period
-    >= min_period that could reach the threshold, by direct comparison of
-    letters.
+    """Ground-truth scan: a forbidden occurrence of maximal exponent (ties:
+    smallest start, then smallest period), or None.  Kept brutally simple;
+    the fast scanners are tested against this.
 
-    Returns a forbidden occurrence of maximal exponent (ties: smallest
-    start, then smallest period), or None.  Kept brutally simple; the fast
-    scanners are tested against this.
+    This is the last run that ``_naive_wins`` yields, so it judges every
+    maximal match-run of every period >= min_period that could reach the
+    threshold, by direct comparison of letters.
+    """
+    if len(w) < 1:
+        raise ValueError("word must be non-empty")
+    r = c.threshold
+    best = None
+    for best in _naive_wins(w.letters, c.min_period, r.numerator, r.denominator, c.mode is Mode.STRICT):
+        pass
+    return None if best is None else Occurrence(*best)
 
-    Three skips leave the answer unchanged.  An occurrence is at most n
+
+def _naive_wins(letters, min_period: int, num: int, den: int, strict: bool):
+    """The naive scan of a letter sequence against the threshold num/den
+    (exceeded under `strict`, met otherwise) at periods >= min_period.
+
+    Yields, in (period, start) order, each violating maximal match-run that
+    beats the best so far (a larger exponent, or an equal one with a
+    smaller (start, period)), as a (start, period, length) tuple.  The first
+    yield is some forbidden occurrence and the last the maximal one; none
+    at all means the letters satisfy the constraint.  Only improvements are
+    yielded, so reading to the end costs no more than keeping the best in
+    the loop.
+
+    Three skips leave every yield unchanged.  An occurrence is at most n
     letters long, so no period above n*den/num (STRICT: at or above it)
     can violate.  At period p only match-runs of at least m letters
     violate, m the least run with (p+m)/p meeting the threshold.  Letters
@@ -146,20 +172,14 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
     beats s and violates only when the full run does.  Then e is a
     mismatch (or the end), so the next probe is e + m.
     """
-    if len(w) < 1:
-        raise ValueError("word must be non-empty")
-    letters = w.letters
     n = len(letters)
-    num = c.threshold.numerator
-    den = c.threshold.denominator
-    strict = c.mode is Mode.STRICT
     pmax = (n * den - strict) // num
     # m = ceil(p*(num-den)/den), STRICT: floor(...) + 1
     step = num - den
     bias = den - 1 + strict
-    best: Occurrence | None = None
+    best = None
     best_num = best_den = 1
-    for p in range(c.min_period, pmax + 1):
+    for p in range(min_period, pmax + 1):
         last = n - p
         m = (p * step + bias) // den
         i = m - 1
@@ -181,12 +201,12 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
                     better = True
                 else:
                     d = length * best_den - best_num * p
-                    better = d > 0 or (d == 0 and (s, p) < (best.start, best.period))
+                    better = d > 0 or (d == 0 and (s, p) < best[:2])
                 if better:
-                    best = Occurrence(s, p, length)
+                    best = s, p, length
                     best_num, best_den = length, p
+                    yield best
             i = e + m
-    return best
 
 
 def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:

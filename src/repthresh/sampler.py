@@ -100,7 +100,10 @@ class SplitMix64:
         computed _BLOCK at a time on one integer with a lane per draw.  A
         product of two 64-bit numbers fits in its 128-bit lane, and masking
         every lane to 64 bits after each step drops what a right shift
-        pulls in from the lane above."""
+        pulls in from the lane above.  k = 0 draws nothing; a negative k
+        raises ValueError rather than move the state back."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         ones, ramp, mask, lanes = _lanes(_BLOCK)
         out: list[int] = []
         for i in range(0, k, _BLOCK):

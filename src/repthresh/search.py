@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .detect import ViolationKernel, naive_oracle
+from .detect import ViolationKernel, _naive_wins, naive_oracle
 from .words import (
     FreenessConstraint,
     Mode,
@@ -370,9 +370,13 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
 
     REACHED witnesses are re-scanned with the naive oracle.  Small EXHAUSTED
     certificates (max_depth <= 12, alphabet <= 3) are re-proved by checking
-    every canonical word of length max_depth+1 with the naive oracle, which
-    covers all alphabet**(max_depth+1) words up to relabelling; larger ones
-    are accepted with independently_verified=False.  A malformed certificate
+    every canonical word of length max_depth+1, which covers all
+    alphabet**(max_depth+1) words up to relabelling; larger ones are
+    accepted with independently_verified=False.  Each canonical word is
+    checked by the naive oracle's own scan (``detect._naive_wins``) on the
+    bare letter tuple, read only up to its first forbidden run: the
+    re-proof asks whether a word violates, not how badly.  A ``Word`` is
+    built only to render a counterexample.  A malformed certificate
     (an alphabet below 1, a negative max_depth or nodes_visited, a witness
     over another alphabet) is rejected.
 
@@ -419,18 +423,20 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     if depth > _REVERIFY_MAX_DEPTH or cert.alphabet_size > _REVERIFY_MAX_ALPHABET:
         return VerificationResult(True, False, "not independently re-verified")
     a = cert.alphabet_size
+    c = cert.constraint
+    # unpacked once for the whole enumeration, not once per word
+    args = c.min_period, c.threshold.numerator, c.threshold.denominator, c.mode is Mode.STRICT
     for candidate in _canonical_words(a, depth + 1):
-        w = Word(a, candidate)
-        if naive_oracle(w, cert.constraint) is None:
+        if next(_naive_wins(candidate, *args), None) is None:
             return VerificationResult(
                 False,
                 True,
-                f"counterexample of length {depth + 1}: {render_word(w)}",
+                f"counterexample of length {depth + 1}: {render_word(Word(a, candidate))}",
             )
     if depth >= 1:
         # max_depth must be attained, not just be an upper bound
         if all(
-            naive_oracle(Word(a, candidate), cert.constraint) is not None
+            next(_naive_wins(candidate, *args), None) is not None
             for candidate in _canonical_words(a, depth)
         ):
             return VerificationResult(

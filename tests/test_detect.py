@@ -17,6 +17,8 @@ from repthresh import (
     verify_occurrence,
     violations_ending_at,
 )
+from repthresh.detect import _naive_wins
+from repthresh.search import _canonical_words
 from conftest import brute_max_exponent, random_word
 from reference_kernel import ref_naive_oracle
 
@@ -116,6 +118,38 @@ def test_naive_oracle_matches_reference():
                 for mode in (Mode.GEQ, Mode.STRICT):
                     c = FreenessConstraint(l, r, mode)
                     assert naive_oracle(w, c) == ref_naive_oracle(w, c), (w, l, str(r), mode)
+
+
+def test_naive_scan_first_and_last_views_agree():
+    """The naive scan has two readers: verify_certificate takes its first
+    run, naive_oracle its last.  On every canonical word over 2 and 3
+    letters up to length 8: there is a first run exactly when the oracle
+    and its reference find one, every run is a forbidden maximal run,
+    each strictly beats the one before (a larger exponent, or an equal one
+    with a smaller (start, period)), and the last is the oracle's."""
+    thresholds = (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2))
+    constraints = [FreenessConstraint(l, r, mode) for l in (1, 2, 3) for r in thresholds for mode in Mode]
+    for a in (2, 3):
+        for n in range(1, 9):
+            for letters in _canonical_words(a, n):
+                w = Word(a, letters)
+                for c in constraints:
+                    r = c.threshold
+                    scan = _naive_wins(letters, c.min_period, r.numerator, r.denominator, c.mode is Mode.STRICT)
+                    runs = [Occurrence(*run) for run in scan]
+                    oracle = naive_oracle(w, c)
+                    assert (not runs) == (oracle is None) == (ref_naive_oracle(w, c) is None), (w, c)
+                    for occ in runs:
+                        s, p, e = occ.start, occ.period, occ.end
+                        assert verify_occurrence(w, occ) and c.forbids_occurrence(occ), (w, c, occ)
+                        assert s == 0 or letters[s - 1] != letters[s - 1 + p], (w, c, occ)
+                        assert e == n or letters[e] != letters[e - p], (w, c, occ)
+                    for before, after in zip(runs, runs[1:]):
+                        assert after.exponent > before.exponent or (
+                            after.exponent == before.exponent
+                            and (after.start, after.period) < (before.start, before.period)
+                        ), (w, c, runs)
+                    assert not runs or runs[-1] == oracle, (w, c, runs)
 
 
 def test_naive_oracle_is_invariant_under_renaming():

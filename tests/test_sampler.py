@@ -48,6 +48,26 @@ def test_next_block_matches_next_uint64(seed, k):
     assert block.next_uint64() == single.next_uint64()
 
 
+def test_next_block_of_zero_draws_nothing():
+    block, single = SplitMix64(5), SplitMix64(5)
+    assert block.next_uint64() == single.next_uint64()
+    assert block.next_block(0) == []
+    assert block.state == single.state
+    assert block.next_uint64() == single.next_uint64()
+
+
+def test_next_block_rejects_negative_k():
+    # a negative k used to return [] and move the state back |k| draws,
+    # so the next draw repeated an earlier one
+    g = SplitMix64(5)
+    g.next_uint64()
+    state = g.state
+    for k in (-1, -257):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            g.next_block(k)
+        assert g.state == state
+
+
 def test_sampler_converges_and_is_sound():
     report = sample_free_word(2, geq(3, 2), SamplerConfig(1, 10**6, 100))
     assert report.converged

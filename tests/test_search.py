@@ -21,6 +21,7 @@ from repthresh import (
     parse_word,
     verify_certificate,
 )
+from repthresh import search
 from repthresh.search import _REVERIFY_MAX_DEPTH, _canonical_words
 from reference_kernel import ref_bracket_threshold, ref_verify_certificate
 
@@ -225,6 +226,26 @@ def test_verify_exhausted_by_reenumeration():
     res = verify_certificate(cert)
     assert res.ok and res.independently_verified
     assert "16 words of length 4" in res.detail
+
+
+def test_verify_exhausted_builds_a_word_only_for_a_counterexample(monkeypatch):
+    # the re-proof checks bare letter tuples; a Word is built only to
+    # render the counterexample
+    honest = extend_search(3, geq(2, 4, 3), 40)
+    assert honest.outcome is Outcome.EXHAUSTED and honest.max_depth == 7
+    built = []
+
+    def counting_word(*args):
+        built.append(args)
+        return Word(*args)
+
+    monkeypatch.setattr(search, "Word", counting_word)
+    res = verify_certificate(honest)
+    assert res.ok and res.independently_verified
+    assert built == []
+    res = verify_certificate(dataclasses.replace(honest, max_depth=honest.max_depth - 1))
+    assert not res.ok and "counterexample" in res.detail
+    assert len(built) == 1
 
 
 def test_verify_exhausted_catches_understated_depth():
