@@ -53,7 +53,6 @@ from .construct import (
     fov_upper_main_term,
     growth_lambda,
     pigeonhole_witness,
-    rank_map_block_extend,
     rank_map_eval,
     rank_map_image_size,
     rank_map_table,

@@ -31,7 +31,6 @@ __all__ = [
     "thue_morse",
     "rank_map_eval",
     "rank_map_image_size",
-    "rank_map_block_extend",
     "rank_map_table",
     "build_mapped_word",
     "colorize",
@@ -91,17 +90,6 @@ def rank_map_image_size(m: int, l: int) -> int:
     return 1 + max(value for _, _, value in rank_map_table(m, l))
 
 
-def rank_map_block_extend(i: int, m: int, l: int) -> int:
-    """f on all of N: block j >= 1 repeats the first block's pattern over
-    fresh source positions, f(i + j*l) = f(i) + j*L."""
-    if l < 1:
-        raise ValueError(f"block size must be >= 1, got {l}")
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    j, i0 = divmod(i, l)
-    return rank_map_eval(i0, m, l)[0] + j * rank_map_image_size(m, l)
-
-
 def rank_map_table(m: int, l: int) -> list[tuple[int, int, int]]:
     """Rows (index, rank, value) for the first block, CSV-ready."""
     if l < 1:
@@ -121,7 +109,7 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
         raise ValueError(f"block size must be >= 1, got {l}")
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    # f(i) = f(i mod l) + (i div l) * L, as in rank_map_block_extend
+    # f(i) = f(i mod l) + (i div l) * L (see the module docstring)
     block = [value for _, _, value in rank_map_table(m, l)]
     image = rank_map_image_size(m, l)
     values = [block[i % l] + i // l * image for i in range(n)]

@@ -4,12 +4,15 @@ exponent meets a threshold.
 Two independent routes are kept deliberately separate:
 
 * The naive route is one scan, ``_naive_wins``, with two views.  It
-  judges every maximal match-run of every period that could reach the
-  threshold, by direct letter comparison, and yields in (period, start)
-  order each violating run that beats the best so far.  At period p a
-  violating run has at least m letters, so letters are compared only at
-  probes m-1 past the first index where an unjudged run can start, and a
-  probe that matches is widened both ways to its maximal run.
+  judges, by direct letter comparison, every maximal match-run that could
+  beat the best so far, and yields in (period, start) order each one that
+  does.  A run that wins at period p has at least u letters: the least
+  violating run until a best is known, then the least run that ties the
+  best, which is no shorter since the best violates.  So letters are
+  compared only at probes u apart, and a probe that matches is widened
+  both ways to its maximal run.  No run that could win is skipped, and
+  the first yield, found before any best exists, is probed as by the
+  threshold alone.
   ``naive_oracle`` keeps the last run, the maximal-exponent witness;
   ``search.verify_certificate`` asks only whether a word violates, so it
   takes the first run and stops there.  It is the ground truth and stays
@@ -135,8 +138,8 @@ def naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
     the fast scanners are tested against this.
 
     This is the last run that ``_naive_wins`` yields, so it judges every
-    maximal match-run of every period >= min_period that could reach the
-    threshold, by direct comparison of letters.
+    maximal match-run of every period >= min_period that could beat the
+    best so far, by direct comparison of letters.
     """
     if len(w) < 1:
         raise ValueError("word must be non-empty")
@@ -160,32 +163,35 @@ def _naive_wins(letters, min_period: int, num: int, den: int, strict: bool):
     the loop.
 
     Three skips leave every yield unchanged.  An occurrence is at most n
-    letters long, so no period above n*den/num (STRICT: at or above it)
-    can violate.  At period p only match-runs of at least m letters
-    violate, m the least run with (p+m)/p meeting the threshold.  Letters
-    are compared only at probes: each probe is m-1 past the first index f
-    where an unjudged run can start (f = 0, then one past the last
-    mismatch), and a run of m or more letters from f on either covers the
-    probe or starts after it.  A probe that matches is widened both ways
-    to its maximal run [s, e), which is judged; a start inside [s, e)
-    gives a strictly shorter occurrence of the same period, which never
-    beats s and violates only when the full run does.  Then e is a
-    mismatch (or the end), so the next probe is e + m.
+    letters long, so no period above n*den/num (STRICT: at or above it) can
+    violate.  A run of r letters at period p wins only if r >= u.  Before
+    any best, u = m, the least run with (p+m)/p meeting the threshold; once
+    a best of exponent L/P exists, u = ceil(p*(L-P)/P), the least r with
+    (p+r)/p >= L/P, which is at least m since L/P violates.  The best only
+    grows, so the u taken when p begins holds for all of p.  Letters are
+    compared only at probes: each probe is u-1 past the first index f where
+    an unjudged run can start (f = 0, then one past the last mismatch), and
+    a run of u or more letters from f on either covers the probe or starts
+    after it.  A probe that matches is widened both ways to its maximal run
+    [s, e), which is judged; a start inside [s, e) gives a strictly shorter
+    occurrence of the same period, which never beats s and violates only
+    when the full run does.  Then e is a mismatch (or the end), so the next
+    probe is e + u.  The first yield, the one ``search.verify_certificate``
+    reads, comes before any best, with u = m as the threshold alone gives.
     """
     n = len(letters)
     pmax = (n * den - strict) // num
-    # m = ceil(p*(num-den)/den), STRICT: floor(...) + 1
-    step = num - den
-    bias = den - 1 + strict
+    # u = (p*ex_num + bias) // ex_den: m = ceil(p*(num-den)/den) (STRICT:
+    # floor(...) + 1), then ceil(p*(L-P)/P) from the best's excess (L-P)/P
+    ex_num, ex_den, bias = num - den, den, den - 1 + strict
     best = None
-    best_num = best_den = 1
     for p in range(min_period, pmax + 1):
         last = n - p
-        m = (p * step + bias) // den
-        i = m - 1
+        u = (p * ex_num + bias) // ex_den
+        i = u - 1
         while i < last:
             if letters[i] != letters[i + p]:
-                i += m
+                i += u
                 continue
             s = i
             while s and letters[s - 1] == letters[s - 1 + p]:
@@ -200,13 +206,14 @@ def _naive_wins(letters, min_period: int, num: int, den: int, strict: bool):
                 if best is None:
                     better = True
                 else:
-                    d = length * best_den - best_num * p
+                    # excess (length-p)/p against the best's
+                    d = (length - p) * ex_den - ex_num * p
                     better = d > 0 or (d == 0 and (s, p) < best[:2])
                 if better:
                     best = s, p, length
-                    best_num, best_den = length, p
+                    ex_num, ex_den, bias = length - p, p, p - 1
                     yield best
-            i = e + m
+            i = e + u
 
 
 def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:

@@ -80,7 +80,8 @@ def _lanes(k: int) -> tuple[int, int, int, struct.Struct]:
 
 
 class SplitMix64:
-    """Seedable 64-bit generator; letter(a) returns next_uint64() % a."""
+    """Seedable 64-bit generator; the sampler's letters are its draws mod
+    the alphabet size."""
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
@@ -91,9 +92,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1E4A7FBB) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
-
-    def letter(self, alphabet_size: int) -> int:
-        return self.next_uint64() % alphabet_size
 
     def next_block(self, k: int) -> list[int]:
         """The next k draws, as k calls of next_uint64 would return them,

@@ -182,15 +182,24 @@ def fraction_from_json(d: dict | None) -> Fraction | None:
     return Fraction(d["num"], d["den"])
 
 
+def _digits(text: str) -> int:
+    """The value of one or more ASCII digits, else ValueError (int() alone
+    also reads signs, spaces, '_' and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)  # past int()'s digit limit this raises too
+
+
 def parse_exponent(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
+    """Parse 'p/q' or 'p', in ASCII digits, into an exact rational."""
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = _digits(num), _digits(den) if slash else 1
+        if not den:
+            raise ValueError("zero denominator")
+    except ValueError as exc:
         raise ValueError(f"bad exponent {text!r}: {exc}") from None
+    return Fraction(num, den)
 
 
 def verify_occurrence(w: Word, occ: Occurrence) -> bool:
@@ -240,18 +249,15 @@ def parse_word(text: str, alphabet: int) -> Word:
         for pos, tok in enumerate(text.split(",")):
             digits = tok.removeprefix("-")
             try:
-                # int() alone also reads signs, spaces, '_' and non-ASCII digits
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError
-                val = int(tok)  # past int()'s digit limit this raises too
+                val = _digits(digits)
                 if digits != tok and not val:  # "-0" is not a negative letter
                     raise ValueError
             except ValueError:
                 raise WordFormatError(
                     f"position {pos}: invalid letter token {tok!r}"
                 ) from None
-            if val < 0:
-                raise WordFormatError(f"position {pos}: letter {val} is negative")
+            if digits != tok:
+                raise WordFormatError(f"position {pos}: letter -{val} is negative")
             if val >= alphabet:
                 raise WordFormatError(
                     f"position {pos}: letter {val} >= alphabet size {alphabet}"

@@ -28,7 +28,12 @@ read signs, spaces, ``_`` and non-ASCII digits.
 
 And the former ``verify_certificate``, which re-enumerates every one of the
 alphabet**(max_depth+1) words, not only the canonical ones.  Tests hold the
-canonical enumeration equal to it, verdict and detail text included."""
+canonical enumeration equal to it, verdict and detail text included.
+
+And two formulas the package computes inline: the rank map extended block
+by block, which ``build_mapped_word`` pulls the source back along, and one
+sampler letter, one draw mod the alphabet size, which ``sample_free_word``
+takes from ``SplitMix64.next_block``."""
 
 from __future__ import annotations
 
@@ -52,6 +57,8 @@ from repthresh import (
     default_target_length,
     extend_search,
     naive_oracle,
+    rank_map_eval,
+    rank_map_image_size,
     render_word,
 )
 from repthresh.search import _REVERIFY_MAX_ALPHABET, _REVERIFY_MAX_DEPTH
@@ -170,6 +177,11 @@ def ref_first_violation(
     return None
 
 
+def ref_letter(rng: SplitMix64, alphabet_size: int) -> int:
+    """The sampler's next letter: one draw mod the alphabet size."""
+    return rng.next_uint64() % alphabet_size
+
+
 def ref_run_sampler(alphabet_size: int, c: FreenessConstraint, config: SamplerConfig):
     """(word or None, resample_count, histogram, trace) of the Moser-Tardos
     run that ``sample_free_word`` and ``resample_trace`` perform, rescanning
@@ -178,7 +190,7 @@ def ref_run_sampler(alphabet_size: int, c: FreenessConstraint, config: SamplerCo
     den = c.threshold.denominator
     strict = c.mode is Mode.STRICT
     rng = SplitMix64(config.seed)
-    letters = [rng.letter(alphabet_size) for _ in range(config.target_length)]
+    letters = [ref_letter(rng, alphabet_size) for _ in range(config.target_length)]
     histogram: dict[int, int] = {}
     trace: list[tuple[Occurrence, int]] = []
     count = 0
@@ -192,7 +204,7 @@ def ref_run_sampler(alphabet_size: int, c: FreenessConstraint, config: SamplerCo
         histogram[occ.period] = histogram.get(occ.period, 0) + 1
         trace.append((occ, count))
         for i in range(occ.start, occ.end):
-            letters[i] = rng.letter(alphabet_size)
+            letters[i] = ref_letter(rng, alphabet_size)
 
 
 def ref_naive_oracle(w: Word, c: FreenessConstraint) -> Occurrence | None:
@@ -515,3 +527,10 @@ def ref_verify_certificate(cert: SearchCertificate) -> VerificationResult:
     return VerificationResult(
         True, True, f"re-enumerated all {a ** (depth + 1)} words of length {depth + 1}"
     )
+
+
+def ref_rank_map_block_extend(i: int, m: int, l: int) -> int:
+    """The rank map f on all of N: block j >= 1 repeats the first block's
+    pattern over fresh source positions, f(i + j*l) = f(i) + j*L."""
+    j, i0 = divmod(i, l)
+    return rank_map_eval(i0, m, l)[0] + j * rank_map_image_size(m, l)

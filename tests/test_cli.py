@@ -509,6 +509,15 @@ def test_detect_signed_comma_token_exits_2(capsys, tmp_path):
     assert_clean_failure(capsys, tmp_path, ["detect", "--alphabet", "64", "--text", "+3"])
 
 
+@pytest.mark.parametrize("threshold", ["-7/-4", "+7/4", " 7/4", "1_0/7", "\u0667/\u0664", "7/0"])
+def test_bad_threshold_exits_2(capsys, tmp_path, threshold):
+    # int() alone reads signs, spaces, '_' and non-ASCII digits
+    assert_clean_failure(
+        capsys, tmp_path,
+        ["search", "--alphabet", "2", "--threshold=" + threshold, "--max-length", "8"],
+    )
+
+
 # One argv per artifact-writing subcommand; each run succeeds when --out
 # is writable.
 WRITING_ARGVS = {

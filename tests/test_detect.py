@@ -232,6 +232,75 @@ def test_naive_oracle_probe_boundaries():
     assert checked_m1 >= 10
 
 
+def test_naive_oracle_spacing_boundaries():
+    """After a best of exponent L/P, a later period p is probed every
+    u = max(m, need) letters, need = ceil(p*(L-P)/P) the least run that
+    ties or beats the best.  A run of exactly need matches that starts
+    before the best must win (by a larger exponent, or on a tie by its
+    smaller start); one of need-1 must not.  Each is planted at every
+    offset mod u, alone in a word of otherwise distinct letters, after
+    (period order) and before (start order) the best's run."""
+    checked_ties = checked_wider = 0
+    for r in (Fraction(11, 10), Fraction(6, 5), Fraction(3, 2), Fraction(7, 4)):
+        for mode in (Mode.GEQ, Mode.STRICT):
+            c = FreenessConstraint(1, r, mode)
+            for P, R in ((2, 1), (3, 2), (4, 3), (5, 2)):
+                if not c.forbids(Fraction(P + R, P)):
+                    continue
+                for p in range(P + 1, 3 * P + 1):
+                    need = -(-p * R // P)
+                    m = _min_violating_run(p, c)
+                    u = max(m, need)
+                    checked_ties += need * P == p * R
+                    checked_wider += u > m
+                    # the best's run starts past every planted one
+                    sb = u + p + need
+                    for run in (need, need - 1):
+                        for s in range(u):
+                            letters = list(range(sb + P + R + 1))
+                            for i in range(s, s + run):
+                                letters[i + p] = letters[i]
+                            for i in range(sb, sb + R):
+                                letters[i + P] = letters[i]
+                            w = Word(len(letters), tuple(letters))
+                            want = Occurrence(s, p, p + run) if run == need else Occurrence(sb, P, P + R)
+                            got = naive_oracle(w, c)
+                            assert got == ref_naive_oracle(w, c), (P, R, p, run, s, str(r), mode)
+                            assert got == want, (P, R, p, run, s, str(r), mode)
+    assert checked_ties >= 10 and checked_wider >= 10
+
+
+class _CountingLetters:
+    """A letter sequence that counts its reads."""
+
+    def __init__(self, letters):
+        self.letters = letters
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.letters[i]
+
+
+def test_naive_scan_skips_runs_that_cannot_win():
+    """A word that opens with k equal letters has its best run (exponent
+    k) at period 1, so no later period can beat it and the scan reads a
+    few letters per index in all.  Probing every later period at the
+    threshold's need alone reads Theta(n^2/m) letters: 48,514 at 201/200
+    and 3,190 at GEQ 2 for k = 20, n = 200."""
+    rng = random.Random(1)
+    for k, n in ((20, 200), (40, 200), (50, 400)):
+        letters = (0,) * k + (1,) + tuple(rng.randrange(3) for _ in range(n - k - 1))
+        for num, den, strict in ((201, 200, False), (2, 1, False), (3, 2, True)):
+            seq = _CountingLetters(letters)
+            runs = list(_naive_wins(seq, 1, num, den, strict))
+            assert runs[-1] == (0, 1, k)
+            assert seq.reads <= 3 * n, (k, n, num, den, strict, seq.reads)
+
+
 def test_naive_oracle_long_words_match_reference():
     """Words of 400-600 letters, where the probe stride m is far above 1,
     against the every-start, every-period reference."""

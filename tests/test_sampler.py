@@ -16,7 +16,7 @@ from repthresh import (
     sample_free_word,
 )
 from repthresh import sampler
-from reference_kernel import ref_run_sampler
+from reference_kernel import ref_letter, ref_run_sampler
 
 
 def geq(l, num, den=1):
@@ -141,11 +141,11 @@ def test_trace_empty_when_initial_word_clean():
 def _replay(alphabet_size, cfg, trace):
     """Independent replay: initial draw, then redraw each logged span."""
     rng = SplitMix64(cfg.seed)
-    letters = [rng.letter(alphabet_size) for _ in range(cfg.target_length)]
+    letters = [ref_letter(rng, alphabet_size) for _ in range(cfg.target_length)]
     states = [list(letters)]
     for occ, _step in trace:
         for i in range(occ.start, occ.end):
-            letters[i] = rng.letter(alphabet_size)
+            letters[i] = ref_letter(rng, alphabet_size)
         states.append(list(letters))
     return letters, states
 

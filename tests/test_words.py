@@ -18,14 +18,13 @@ from repthresh import (
     naive_oracle,
     parse_exponent,
     parse_word,
-    rank_map_block_extend,
     read_word_file,
     render_word,
     verify_occurrence,
 )
 from repthresh.words import fraction_from_json, fraction_json
 from conftest import periodic_prefix_oracle, random_word
-from reference_kernel import ref_parse_word
+from reference_kernel import ref_parse_word, ref_rank_map_block_extend
 
 
 def test_parse_basic():
@@ -201,7 +200,7 @@ def test_decoder_and_lift_match_reference():
     for _ in range(200):
         m, l = rng.randint(2, 4), rng.randint(1, 20)
         n = rng.randrange(0, 200)
-        values = [rank_map_block_extend(i, m, l) for i in range(n)]
+        values = [ref_rank_map_block_extend(i, m, l) for i in range(n)]
         source = random_word(rng, 300, max(values, default=-1) + 1 + rng.randrange(3))
         mapped = build_mapped_word(source, m, l, n)
         assert mapped.letters == tuple(source.letters[v] for v in values)
@@ -242,10 +241,16 @@ def test_exponent_order_is_exact():
 def test_parse_exponent():
     assert parse_exponent("7/4") == Fraction(7, 4)
     assert parse_exponent("2") == Fraction(2)
-    with pytest.raises(ValueError):
+    assert parse_exponent("014/08") == Fraction(7, 4)
+    with pytest.raises(ValueError, match="zero denominator"):
         parse_exponent("7/0")
-    with pytest.raises(ValueError):
-        parse_exponent("x")
+    # each number is one or more ASCII digits, as in comma-format words;
+    # int() alone would read "-7/-4" as 7/4, and signs, spaces, '_' and
+    # non-ASCII digits in general
+    for text in ("x", "-7/-4", "-7/4", "+7/4", " 7/4", "7/4 ", "1_0/7",
+                 "\u0667/\u0664", "7/", "/4", "7/4/2", ""):
+        with pytest.raises(ValueError, match="bad exponent"):
+            parse_exponent(text)
 
 
 def test_verify_occurrence_examples():
