@@ -56,7 +56,6 @@ from .words import (
     FreenessConstraint,
     Mode,
     Word,
-    WordFormatError,
     fraction_json,
     parse_exponent,
     parse_word,
@@ -86,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         result = args.compute(args)
         if result.artifacts is not None:
             _write_run(args, argv, result.artifacts, t0)
-    except (WordFormatError, ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # raised with an empty message

@@ -22,7 +22,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import cycle, islice
 
 from .words import Occurrence, Word, fraction_json
@@ -83,7 +82,6 @@ def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:
     return (rank - 1) * (m - 1) + q % m, rank
 
 
-@lru_cache(maxsize=None)
 def rank_map_image_size(m: int, l: int) -> int:
     """L = number of source positions used by one block; the image of
     [0, l) under f is exactly {0, ..., L-1}."""
@@ -105,13 +103,11 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
     """The pullback word tau with tau[i] = source[f(i)] for i < n."""
     if m < 2:
         raise ValueError(f"radix must be >= 2, got {m}")
-    if l < 1:
-        raise ValueError(f"block size must be >= 1, got {l}")
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
     # f(i) = f(i mod l) + (i div l) * L (see the module docstring)
     block = [value for _, _, value in rank_map_table(m, l)]
-    image = rank_map_image_size(m, l)
+    if n < 0:
+        raise ValueError(f"length must be >= 0, got {n}")
+    image = 1 + max(block)
     values = [block[i % l] + i // l * image for i in range(n)]
     needed = max(values) + 1 if values else 0
     if needed > len(source):

@@ -394,6 +394,8 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
         return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
     if cert.nodes_visited < 0:
         return VerificationResult(False, True, f"negative nodes_visited {cert.nodes_visited}")
+    if cert.max_depth is not None and cert.max_depth < 0:
+        return VerificationResult(False, True, f"negative max_depth {cert.max_depth}")
     if cert.outcome is Outcome.REACHED:
         if cert.witness is None:
             return VerificationResult(False, True, "REACHED without witness")
@@ -417,8 +419,6 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
         return VerificationResult(True, False, "budget outcome claims nothing")
     if cert.max_depth is None:
         return VerificationResult(False, True, "EXHAUSTED without max_depth")
-    if cert.max_depth < 0:
-        return VerificationResult(False, True, f"negative max_depth {cert.max_depth}")
     depth = cert.max_depth
     if depth > _REVERIFY_MAX_DEPTH or cert.alphabet_size > _REVERIFY_MAX_ALPHABET:
         return VerificationResult(True, False, "not independently re-verified")

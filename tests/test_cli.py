@@ -572,6 +572,10 @@ def test_bracket_max_denominator_zero_exits_2(capsys, tmp_path):
     )
 
 
+def test_bounds_precision_zero_exits_2(capsys, tmp_path):
+    assert_clean_failure(capsys, tmp_path, ["bounds", "--alphabet", "2", "--precision", "0"])
+
+
 def test_node_budget_below_one_exits_2(capsys, tmp_path):
     for argv in (
         ["search", "--alphabet", "2", "--threshold", "2", "--node-budget", "-1"],

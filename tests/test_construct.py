@@ -322,6 +322,10 @@ def test_bracket_c_hat():
     # the empirical constant c_hat = (r_hi - 1) * a * l of a bracket
     assert Bracket(2, 1, None, Fraction(2), False).c_hat == Fraction(2)
     assert Bracket(3, 1, None, Fraction(9, 5), False).c_hat == Fraction(12, 5)
+    # no REACHED rung: no upper end, so no constant
+    unbounded = Bracket(2, 1, None, None, False)
+    assert unbounded.c_hat is None
+    assert unbounded.summary_line().endswith("r_hi=- c_hat=-")
 
 
 def test_bound_report():

@@ -313,6 +313,10 @@ def test_verify_rejects_negative_nodes_visited():
             res = verify_certificate(dataclasses.replace(cert, nodes_visited=nodes))
             assert not res.ok
             assert f"negative nodes_visited {nodes}" in res.detail
+        for depth in (-1, -5):
+            res = verify_certificate(dataclasses.replace(cert, max_depth=depth))
+            assert not res.ok
+            assert f"negative max_depth {depth}" in res.detail
         for a in (0, -3):
             for bad in (cert, dataclasses.replace(cert, max_depth=0)):
                 res = verify_certificate(dataclasses.replace(bad, alphabet_size=a))

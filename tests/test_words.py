@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import repthresh
 from repthresh import (
     FreenessConstraint,
     Mode,
@@ -335,3 +336,12 @@ def test_fraction_json_roundtrip():
         assert fraction_json(fraction_from_json(doc)) == doc
     # an unreduced encoding decodes to the reduced rational
     assert fraction_from_json({"num": 6, "den": 4}) == Fraction(3, 2)
+
+
+def test_package_reexports_every_module_all():
+    # each module's __all__ is the one declaration of its public names;
+    # repthresh.detect is the function, so the module comes from sys.modules
+    for name in ("words", "detect", "search", "sampler", "construct"):
+        module = sys.modules[f"repthresh.{name}"]
+        for public in module.__all__:
+            assert getattr(repthresh, public, None) is getattr(module, public), (name, public)
