@@ -40,7 +40,6 @@ from .construct import (
     build_mapped_word,
     colorize,
     pigeonhole_witness,
-    rank_map_image_size,
     rank_map_table,
     thue_morse,
 )
@@ -54,7 +53,6 @@ from .search import (
 )
 from .words import (
     FreenessConstraint,
-    Mode,
     Word,
     fraction_json,
     parse_exponent,
@@ -186,9 +184,7 @@ def _input_word(args) -> Word:
 
 
 def _constraint(args) -> FreenessConstraint:
-    return FreenessConstraint(
-        args.min_period, parse_exponent(args.threshold), Mode(args.mode)
-    )
+    return FreenessConstraint(args.min_period, parse_exponent(args.threshold), args.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,9 @@ def _construct_thue_morse(args) -> _Result:
 
 
 def _construct_rank_map(args) -> _Result:
-    text = _csv_text([("index", "rank", "value"), *rank_map_table(args.radix, args.block)])
-    note = f"image size L = {rank_map_image_size(args.radix, args.block)}"
+    rows = rank_map_table(args.radix, args.block)
+    text = _csv_text([("index", "rank", "value"), *rows])
+    note = f"image size L = {1 + max(value for _, _, value in rows)}"
     return _Result({"ftable.csv": text}, text, note=note)
 
 

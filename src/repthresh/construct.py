@@ -108,14 +108,16 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     image = 1 + max(block)
-    values = [block[i % l] + i // l * image for i in range(n)]
-    needed = max(values) + 1 if values else 0
+    # the last index n-1 sits in block J = (n-1)//l, after every earlier
+    # block's image, so the largest value lies in block J's first (n-1)%l + 1 indices
+    J, r = divmod(n - 1, l)
+    needed = max(block[: r + 1]) + J * image + 1 if n else 0
     if needed > len(source):
         raise ValueError(
             f"source word too short: need {needed} letters, have {len(source)}"
         )
-    src = source.letters
-    return Word(source.alphabet, map(src.__getitem__, values))
+    values = [block[i % l] + i // l * image for i in range(n)]
+    return Word(source.alphabet, map(source.letters.__getitem__, values))
 
 
 def colorize(base: Word, a: int, l: int) -> Word:

@@ -388,7 +388,10 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     letter at the first position it changes), so a counterexample names the
     same word; a clean word of the claimed depth exists exactly when a
     canonical one does; and the "re-enumerated all" count is of the words
-    covered.
+    covered.  That max_depth is attained is checked in the same pass: each
+    canonical word of length max_depth is the prefix of exactly one
+    candidate, the one ending in letter 0, so those candidates' prefixes
+    are scanned until one is clean (at max_depth 0 the empty prefix is).
     """
     if cert.alphabet_size < 1:
         return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
@@ -426,6 +429,7 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     c = cert.constraint
     # unpacked once for the whole enumeration, not once per word
     args = c.min_period, c.threshold.numerator, c.threshold.denominator, c.mode is Mode.STRICT
+    attained = False
     for candidate in _canonical_words(a, depth + 1):
         if next(_naive_wins(candidate, *args), None) is None:
             return VerificationResult(
@@ -433,15 +437,11 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
                 True,
                 f"counterexample of length {depth + 1}: {render_word(Word(a, candidate))}",
             )
-    if depth >= 1:
         # max_depth must be attained, not just be an upper bound
-        if all(
-            next(_naive_wins(candidate, *args), None) is not None
-            for candidate in _canonical_words(a, depth)
-        ):
-            return VerificationResult(
-                False, True, f"no satisfying word of the claimed depth {depth}"
-            )
+        if not attained and candidate[-1] == 0:
+            attained = next(_naive_wins(candidate[:-1], *args), None) is None
+    if not attained:
+        return VerificationResult(False, True, f"no satisfying word of the claimed depth {depth}")
     return VerificationResult(
         True, True, f"re-enumerated all {a ** (depth + 1)} words of length {depth + 1}"
     )

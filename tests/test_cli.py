@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from repthresh import cli, construct
 from repthresh.cli import main
 from repthresh.schemas import SCHEMA_NAMES, load_schema
 
@@ -267,6 +268,21 @@ def test_construct_rank_map(capsys, tmp_path):
     values = [int(line.split(",")[2]) for line in lines[1:]]
     assert values == [0, 1, 0, 2, 0, 1, 0, 3]
     assert (out_dir / "ftable.csv").read_text().strip() == out.strip()
+
+
+def test_construct_rank_map_builds_its_table_once(capsys, monkeypatch):
+    builds = []
+    table = construct.rank_map_table
+
+    def counting_table(m, l):
+        builds.append((m, l))
+        return table(m, l)
+
+    monkeypatch.setattr(cli, "rank_map_table", counting_table)
+    monkeypatch.setattr(construct, "rank_map_table", counting_table)
+    assert main(["construct", "rank-map", "--radix", "2", "--block", "8"]) == 0
+    assert "image size L = 4" in capsys.readouterr().err.splitlines()
+    assert builds == [(2, 8)]
 
 
 def test_construct_colorize(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,18 @@ def test_build_mapped_word_source_too_short():
         build_mapped_word(parse_word("01", 2), 2, 8, 8)
     with pytest.raises(ValueError, match="length must be >= 0"):
         build_mapped_word(parse_word("01", 2), 2, 8, -1)
+
+
+def test_build_mapped_word_checks_the_source_length_first():
+    # the needed length comes from one block, not from an index list of n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="need 100000 letters, have 2"):
+            build_mapped_word(parse_word("01", 2), 2, 8, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mapped_word_pullback_property():

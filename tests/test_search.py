@@ -248,6 +248,32 @@ def test_verify_exhausted_builds_a_word_only_for_a_counterexample(monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
+    # one walk of length max_depth+1 also shows that max_depth is attained;
+    # the generator recurses through the module name, so every level counts
+    calls = []
+    walk = search._canonical_words
+
+    def counting_walk(alphabet_size, length):
+        calls.append(length)
+        return walk(alphabet_size, length)
+
+    monkeypatch.setattr(search, "_canonical_words", counting_walk)
+    honest = extend_search(2, geq(1, 2), 10)
+    assert honest.max_depth == 3
+    res = verify_certificate(honest)
+    assert res.ok and res.independently_verified
+    assert calls == [4, 3, 2, 1, 0]
+    calls.clear()
+    for cert in (
+        extend_search(2, strict(1, 2), 50),  # REACHED
+        extend_search(2, strict(1, 2), 200, node_budget=5),  # BUDGET_EXCEEDED
+        dataclasses.replace(honest, max_depth=_REVERIFY_MAX_DEPTH + 1),  # over the cap
+    ):
+        assert verify_certificate(cert).ok
+    assert calls == []
+
+
 def test_verify_exhausted_catches_understated_depth():
     honest = extend_search(2, geq(1, 2), 10)
     lying = SearchCertificate(
