@@ -116,8 +116,10 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
         raise ValueError(
             f"source word too short: need {needed} letters, have {len(source)}"
         )
-    values = [block[i % l] + i // l * image for i in range(n)]
-    return Word(source.alphabet, map(source.letters.__getitem__, values))
+    letters, tau = source.letters, [0] * n
+    for i, value in enumerate(block[:n]):
+        tau[i::l] = letters[value : value + len(range(i, n, l)) * image : image]
+    return Word(source.alphabet, tau)
 
 
 def colorize(base: Word, a: int, l: int) -> Word:

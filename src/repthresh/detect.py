@@ -58,7 +58,7 @@ Two independent routes are kept deliberately separate:
 searcher, the sampler and ``violations_ending_at``: when a word grows by
 one letter, any new violation must end at that letter.  It keeps the
 minimal violating run ``need[p]`` per period (grown lazily with the word)
-and the prefix as a byte buffer.  Periods below ``_DIRECT_PERIODS`` are
+and the word as a byte buffer.  Periods below ``_DIRECT_PERIODS`` are
 compared letter by letter; larger ones go in doubling bands [P, 2P-1].
 Since need is non-decreasing in p, a violation at any period q of the band
 has a match-run of at least m = need[P] ending at the new letter.
@@ -275,14 +275,13 @@ def violations_ending_at(w: Word, c: FreenessConstraint, pos: int) -> Occurrence
     If the prefix w[:pos] already satisfies the constraint, None here means
     w[:pos+1] satisfies it too: a new violation must end at the new letter.
     The occurrence of smallest period is returned, truncated to the minimal
-    violating length.  This is ``ViolationKernel.first_period`` on a fresh
-    buffer, the same check the searcher runs at every node.
+    violating length.  This is ``ViolationKernel.first_period`` of a kernel
+    built on w[:pos+1], the same check the searcher runs at every node.
     """
     if not 0 <= pos < len(w):
         raise ValueError(f"pos {pos} out of range for word of length {len(w)}")
-    kernel = ViolationKernel(c, w.alphabet)
-    buf, seq = kernel.encode(w.letters[: pos + 1])
-    p = kernel.first_period(buf, seq, pos)
+    kernel = ViolationKernel(c, w.alphabet, w.letters[: pos + 1])
+    p = kernel.first_period(pos)
     if not p:
         return None
     run = kernel.need[p]
@@ -322,10 +321,10 @@ def _letter_format(alphabet: int) -> tuple[int, str]:
 def _encode(letters, alphabet: int) -> tuple[bytearray, MutableSequence[int]]:
     """(buf, seq): `letters` in a bytearray at the width `_letter_format`
     picks, and the same memory viewed as integer letters (buf itself for
-    one-byte letters).  Alphabets too large for the widest format are
+    one-byte letters).  Letters too large for the widest format are
     relabelled densely, since only letter equality matters."""
     width, fmt = _letter_format(alphabet)
-    if alphabet > 256 ** width:
+    if alphabet > 256 ** width and max(letters, default=0) >= 256 ** width:
         ids: dict[int, int] = {}
         letters = [ids.setdefault(x, len(ids)) for x in letters]
     if width == 1:
@@ -356,14 +355,14 @@ def _recurrences(buf: bytes | bytearray, k: int, end: int, h: int, lo: int, hi: 
 
 
 class ViolationKernel:
-    """Incremental violation check for one constraint on a growing word.
+    """Incremental violation check for one constraint on a word it owns.
 
-    The word lives in a bytearray ``buf`` at a fixed width of ``width``
-    bytes per letter; ``seq`` views the same memory as integer letters (it
-    is ``buf`` itself for one-byte letters).  ``need[p]`` is the minimal
-    match-run that makes period p forbidden; it is computed once per period
-    and grown lazily with the longest prefix checked, so short searches
-    never pay for long ones.
+    The word lives in a bytearray ``buf`` at ``width`` bytes per letter;
+    ``seq`` views it as integer letters (``buf`` itself at one byte).
+    ``write`` overwrites a span and ``seq[i] = x`` one letter, each below
+    256**width.  ``need[p]`` is the minimal match-run that makes period p
+    forbidden; it is computed once per period and grown lazily with the
+    longest prefix checked, so short searches never pay for long ones.
 
     A band [P, 2P-1] with m = need[P] >= 2 is searched once for many
     positions.  A violation of period q in the band ending at pos has a
@@ -394,21 +393,25 @@ class ViolationKernel:
     It keeps no state and reads only letters up to pos.
     """
 
-    def __init__(self, c: FreenessConstraint, alphabet: int) -> None:
+    def __init__(self, c: FreenessConstraint, alphabet: int, letters) -> None:
         self.min_period = c.min_period
         self.num = c.threshold.numerator
         self.den = c.threshold.denominator
         self.strict = c.mode is Mode.STRICT
-        self.alphabet = alphabet
-        self.width = _letter_format(alphabet)[0]
+        self.width, self._fmt = _letter_format(alphabet)
+        self.buf, self.seq = _encode(letters, alphabet)
         self.need = [0]  # need[0] is unused
         # band start P -> [c, last position served, periods found at c]
         self._marks: dict[int, list] = {}
         self._top = -1  # every kept band search has c <= _top
 
-    def encode(self, letters) -> tuple[bytearray, MutableSequence[int]]:
-        """(buf, seq) holding `letters`; write further letters through seq."""
-        return _encode(letters, self.alphabet)
+    def write(self, start: int, letters: list[int]) -> None:
+        """Overwrite the word from index `start` on; call next at `start`."""
+        k, n = self.width, len(letters)
+        if k == 1:
+            self.buf[start : start + n] = letters
+        else:
+            self.buf[start * k : (start + n) * k] = struct.pack(f"{n}{self._fmt}", *letters)
 
     def _grow(self, pmax: int) -> None:
         need = self.need
@@ -416,9 +419,9 @@ class ViolationKernel:
         for p in range(len(need), max(pmax + 1, 2 * len(need))):
             need.append(_required_run(p, num, den, strict))
 
-    def first_period(self, buf: bytearray, seq: MutableSequence[int], pos: int) -> int:
+    def first_period(self, pos: int) -> int:
         """Smallest period of a forbidden occurrence ending at letter pos of
-        the word in buf (letters after pos are ignored), or 0.  The
+        the kernel's word (letters after pos are ignored), or 0.  The
         occurrence is the factor of length p + need[p] ending at pos.
         Letters before pos must be those of the previous calls (see the
         class docstring)."""
@@ -432,7 +435,7 @@ class ViolationKernel:
         p = self.min_period
         if pmax < p:
             return 0
-        need = self.need
+        need, seq = self.need, self.seq
         if pmax >= len(need):
             self._grow(pmax)
         top = pmax if pmax < _DIRECT_PERIODS else _DIRECT_PERIODS - 1
@@ -448,7 +451,7 @@ class ViolationKernel:
                 if run >= m:
                     return p
             p += 1
-        k = self.width
+        k, buf = self.width, self.buf
         end = (pos + 1) * k
         marks = self._marks
         while p <= pmax:
@@ -476,17 +479,17 @@ class ViolationKernel:
             p *= 2
         return 0
 
-    def lowest_start(self, buf: bytearray, seq: MutableSequence[int], pos: int, p: int) -> tuple[int, int, int]:
+    def lowest_start(self, pos: int, p: int) -> tuple[int, int, int]:
         """(start, period, length) of the sampler's bad event at pos (see
         the class docstring); p must be ``first_period``'s nonzero answer
         at pos.  ``_recurrences`` of the length-need[p] suffix lists the
         candidate periods ascending, each run is walked back from the
         letter before the known match, and a strict < keeps the smallest
         period on a tie."""
-        need = self.need
+        need, seq = self.need, self.seq
         m = need[p]
         start, period, length = pos, 0, 0
-        for q in _recurrences(buf, self.width, pos + 1, m, p, (pos + 1) * self.den // self.num):
+        for q in _recurrences(self.buf, self.width, pos + 1, m, p, (pos + 1) * self.den // self.num):
             i = pos - q - m
             while i >= 0 and seq[i] == seq[i + q]:
                 i -= 1

@@ -25,10 +25,12 @@ empirical (bounded by max_resamples) - no attempt is made to verify the
 local-lemma preconditions.
 
 Violations are found with ``detect.ViolationKernel.first_period``, the
-searcher's check.  After a resample of [s, e) the scan resumes at s, not at
-0, and this is exact: the event just resampled had the lowest end position,
-so no violation ended earlier, and an occurrence ending before s reads only
-letters before s, which the resample left unchanged.
+searcher's check, on the kernel's own word; ``ViolationKernel.write``
+overwrites each resampled span.  After a resample of [s, e) the scan
+resumes at s, not at 0, and this is exact: the event just resampled had
+the lowest end position, so no violation ended earlier, and an
+occurrence ending before s reads only letters before s, which the
+resample left unchanged.
 
 The bad event at that end position comes from
 ``ViolationKernel.lowest_start``, given the smallest violating period p.
@@ -166,9 +168,6 @@ def _run_sampler(
         raise ValueError(
             f"alphabet size must be >= 2 for sampling, got {alphabet_size}"
         )
-    # Letters are next_uint64() % a < 2**64, so a kernel sized for 2**64
-    # letters stores them as drawn, however large a is.
-    kernel = ViolationKernel(constraint, min(alphabet_size, 2**64))
     rng = SplitMix64(config.seed)
     # The letter stream, drawn a block at a time and consumed in C.
     stream = chain.from_iterable(
@@ -180,30 +179,26 @@ def _run_sampler(
         return list(islice(stream, m))
 
     n = config.target_length
-    buf, seq = kernel.encode(take(n))
+    kernel = ViolationKernel(constraint, alphabet_size, take(n))
     histogram: dict[int, int] = {}
     trace: list[tuple[Occurrence, int]] = []
     count = lo = 0
     while True:
         for pos in range(lo, n):
-            p = kernel.first_period(buf, seq, pos)
+            p = kernel.first_period(pos)
             if p:
                 break
         else:
-            word = Word(alphabet_size, seq)
+            word = Word(alphabet_size, kernel.seq)
             return SamplerReport(word, count, histogram, config.seed), trace
         if count >= config.max_resamples:
             return SamplerReport(None, count, histogram, config.seed), trace
-        start, period, length = kernel.lowest_start(buf, seq, pos, p)
+        start, period, length = kernel.lowest_start(pos, p)
         count += 1
         histogram[period] = histogram.get(period, 0) + 1
         if record_trace:
             trace.append((Occurrence(start, period, length), count))
-        if seq is buf:
-            buf[start : start + length] = take(length)
-        else:
-            for i, x in enumerate(take(length), start):
-                seq[i] = x
+        kernel.write(start, take(length))
         # Exact: no violation ended before pos, and the letters before
         # start are unchanged, so none ends before start now.
         lo = start

@@ -157,9 +157,9 @@ def extend_search(
     # A letter absent from the prefix ends no repetition, and one of 0..d
     # is, so depth d never needs to try a letter above d.
     n = min(a, target_length)
-    kernel = ViolationKernel(constraint, a)
+    kernel = ViolationKernel(constraint, a, [0] * target_length)
     first_period = kernel.first_period
-    buf, seq = kernel.encode([0] * target_length)
+    seq = kernel.seq
     # Depth d tries the letters 0..top[d]-1: with symmetry, the letters of
     # the prefix and the smallest unused one.
     top = [0] * target_length
@@ -189,7 +189,7 @@ def extend_search(
             if node_budget is not None and nodes > node_budget:
                 return make(Outcome.BUDGET_EXCEEDED, None)
             seq[depth] = letter
-            if not first_period(buf, seq, depth):
+            if not first_period(depth):
                 break
             letter += 1
         else:

@@ -202,6 +202,23 @@ def test_build_mapped_word_checks_the_source_length_first():
     assert peak < 1 << 20
 
 
+def test_build_mapped_word_holds_no_index_list():
+    # 200,000 letters from a 1.5M-letter source: the result (a tuple) and
+    # the list it is copied from take 1.5 MiB each; a list of the n source
+    # indices, as ints, would take 6 MiB more
+    source = thue_morse(1_500_000)
+    tracemalloc.start()
+    try:
+        w = build_mapped_word(source, 2, 8, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 200_000
+    for i in range(0, 200_000, 997):
+        assert w.letters[i] == source.letters[ref_rank_map_block_extend(i, 2, 8)]
+    assert peak < 4 << 20
+
+
 def test_mapped_word_pullback_property():
     rng = random.Random(21)
     source = random_word(rng, 2, 64)

@@ -3,8 +3,9 @@ searcher must produce field-identical certificates, and
 ``violations_ending_at`` the same occurrence, on both small periods (direct
 loop) and large ones (C-level band search), at one, two and eight bytes
 per letter.  ``first_period`` is also driven directly through the call
-orders its callers use (advance, sibling rewrite, backtrack, span rewrite
-and rescan), which is what decides when a kept band search may be reused.
+orders its callers use (advance, sibling rewrite, backtrack, a span
+written by ``write`` and rescanned), which is what decides when a kept
+band search may be reused.
 ``lowest_start``, the sampler's bad event, is held equal to the walk over
 every period at each position where ``first_period`` finds a violation."""
 
@@ -90,12 +91,15 @@ def test_deep_reached_search_matches_reference(a, l, r, target):
 
 # (alphabet, letter pool) at one, two, four and eight bytes per letter;
 # the wider pools hold letters whose bytes collide across letter
-# boundaries, so unaligned rfind hits occur.
+# boundaries, so unaligned rfind hits occur.  The last row is the
+# sampler's case above the widest format: an alphabet of 2**70 with every
+# letter below 2**64, so letters are stored as given, not relabelled.
 WIDTHS = [
     (256, list(range(256))),
     (300, [1, 256, 257] + list(range(2, 200))),
     (2**20, [1, 2**16, 2**16 + 1, 2**20 - 1] + [x << 8 for x in range(1, 200)]),
     (2**40, [1, 2**32 + 1, 2**32, 2**39 + 1] + [x << 20 for x in range(1, 200)]),
+    (2**70, [1, 2**63, 2**63 + 1, 2**64 - 1] + [x << 48 for x in range(1, 200)]),
 ]
 # 41/40 with l=1 has bands with need 1 (no reuse) and need 2 (reuse for
 # one position); STRICT has need 1 up to period 39, GEQ up to 40.
@@ -112,12 +116,14 @@ class _Driver:
     """A word written and checked in the call orders of the searcher and the
     sampler.  Most letters copy the letter q back, for a copy period q that
     changes now and then, so long match-runs of band periods start and end
-    at every offset from the positions where band searches are kept."""
+    at every offset from the positions where band searches are kept.  The
+    reference reads its own copy of the word, so a letter the kernel
+    stores wrongly shows."""
 
     def __init__(self, rng: random.Random, alphabet: int, pool: list[int], c: FreenessConstraint, length: int):
         self.rng, self.pool, self.c = rng, pool, c
-        self.kernel = ViolationKernel(c, alphabet)
-        self.buf, self.seq = self.kernel.encode([0] * length)
+        self.word = [0] * length
+        self.kernel = ViolationKernel(c, alphabet, self.word)
         self.q = 12
         self.calls = self.hits = 0
 
@@ -126,26 +132,26 @@ class _Driver:
         if rng.random() < 0.05:
             self.q = rng.choice([rng.randrange(12, 400), *(b + rng.randrange(-2, 3) for b in (12, 24, 48, 96, 192, 384))])
         if pos >= self.q and rng.random() < 0.9:
-            return self.seq[pos - self.q]
+            return self.word[pos - self.q]
         return rng.choice(self.pool)
 
     def check(self, pos: int) -> None:
-        got = self.kernel.first_period(self.buf, self.seq, pos)
-        ref = ref_violation_ending_at(self.seq, self.c, pos)
-        assert got == (ref.period if ref else 0), (self.c, pos, list(self.seq[: pos + 1]))
+        got = self.kernel.first_period(pos)
+        ref = ref_violation_ending_at(self.word, self.c, pos)
+        assert got == (ref.period if ref else 0), (self.c, pos, self.word[: pos + 1])
         self.calls += 1
         self.hits += bool(got)
 
 
-@pytest.mark.parametrize("alphabet, pool", WIDTHS, ids=("1-byte", "2-byte", "4-byte", "8-byte"))
+@pytest.mark.parametrize("alphabet, pool", WIDTHS, ids=("1-byte", "2-byte", "4-byte", "8-byte", "8-byte-a2^70"))
 @pytest.mark.parametrize("c", CONSTRAINTS, ids=lambda c: f"{c.threshold}-l{c.min_period}" + "-strict" * (c.mode is Mode.STRICT))
 def test_first_period_in_random_call_orders(alphabet, pool, c):
     rng = random.Random(f"calls/{alphabet}/{c}")
     length = rng.randrange(300, 1501)
     d = _Driver(rng, alphabet, pool, c, length)
-    seq = d.seq
+    word, seq = d.word, d.kernel.seq
     pos = 0
-    seq[0] = d.letter(0)
+    seq[0] = word[0] = d.letter(0)
     d.check(0)
     while pos < length - 1:
         op = rng.random()
@@ -155,14 +161,16 @@ def test_first_period_in_random_call_orders(alphabet, pool, c):
             pass
         elif op < 0.9:  # backtrack by 1 to 50, mostly by a few
             pos = max(0, pos - min(50, 1 + int(rng.expovariate(0.25))))
-        else:  # resample a span ending at pos, rescan from its start
+        else:  # resample a span ending at pos, write it, rescan from its start
             s = max(0, pos - rng.randrange(40))
             for i in range(s, pos + 1):
-                seq[i] = d.letter(i)
+                word[i] = d.letter(i)
+            d.kernel.write(s, word[s : pos + 1])
+            assert list(seq[s : pos + 1]) == word[s : pos + 1]
             for i in range(s, pos + 1):
                 d.check(i)
             continue
-        seq[pos] = d.letter(pos)
+        seq[pos] = word[pos] = d.letter(pos)
         d.check(pos)
     assert d.hits and d.hits < d.calls
 
@@ -204,10 +212,10 @@ def test_violations_ending_at_matches_reference(alphabet, letters):
 
 
 # Letter pools for lowest_start at one, two, four and eight bytes per
-# letter.  The kernel is sized as the sampler sizes it, min(a, 2**64), so
-# 2**70 letters are stored as drawn; the wider pools hold letters whose
-# bytes collide across letter boundaries, so unaligned rfind hits occur
-# and must be skipped.
+# letter.  The kernel is built as the sampler builds it, on alphabet a, so
+# letters of 2**70 below 2**64 are stored as drawn; the wider pools hold
+# letters whose bytes collide across letter boundaries, so unaligned rfind
+# hits occur and must be skipped.
 LOWEST_START_POOLS = {
     2: [0, 1],
     3: [0, 1, 2],
@@ -239,15 +247,14 @@ def test_lowest_start_matches_reference(a, mode, r):
     for _ in range(3):
         letters = _copy_word(rng, LOWEST_START_POOLS[a], rng.randrange(64, 513))
         c = FreenessConstraint(rng.choice([1, 1, 2, 5, 13]), r, mode)
-        kernel = ViolationKernel(c, min(a, 2**64))
-        buf, seq = kernel.encode(letters)
+        kernel = ViolationKernel(c, a, letters)
         for pos in range(len(letters)):
-            p = kernel.first_period(buf, seq, pos)
+            p = kernel.first_period(pos)
             ref = ref_lowest_start(letters, c.min_period, r.numerator, r.denominator, mode is Mode.STRICT, pos)
             if not p:
                 assert ref is None, (c, pos, letters)
                 continue
-            assert Occurrence(*kernel.lowest_start(buf, seq, pos, p)) == ref, (c, pos, letters)
+            assert Occurrence(*kernel.lowest_start(pos, p)) == ref, (c, pos, letters)
             hits += 1
     assert hits
 
@@ -263,10 +270,9 @@ def test_lowest_start_tie_goes_to_smallest_period(a):
     letters = [x * scale for x in head + u * 3]
     s, pos = len(head), len(letters) - 1
     c = FreenessConstraint(1, Fraction(5, 4))
-    kernel = ViolationKernel(c, min(a, 2**64))
-    buf, seq = kernel.encode(letters)
-    p = kernel.first_period(buf, seq, pos)
+    kernel = ViolationKernel(c, a, letters)
+    p = kernel.first_period(pos)
     assert p == 3
     assert letters[s - 1] not in (letters[s + 19], letters[s + 39])  # both runs are maximal at s
     assert ref_lowest_start(letters, 1, 5, 4, False, pos) == Occurrence(s, 20, 60)
-    assert kernel.lowest_start(buf, seq, pos, p) == (s, 20, 60)
+    assert kernel.lowest_start(pos, p) == (s, 20, 60)
