@@ -25,9 +25,10 @@ Two independent routes are kept deliberately separate:
   best so far: ``max_exponent`` runs it from exponent 1 and keeps the last
   run, ``exists_repetition`` runs it from the threshold and takes the
   first.  The scan serves every alphabet: the word is packed at 1, 2, 4
-  or 8 bytes per letter, as for the kernel below, the match vector of a
-  period is one big-integer XOR with each letter's lane folded to one
-  byte, and runs are located with C-level byte searches.
+  or 8 bytes per letter as for the kernel below (it only reads, so letters
+  past 64 bits are relabelled), the match vector of a period is one
+  big-integer XOR with each letter's lane folded to one byte, and runs
+  are located with C-level byte searches.
 
   Periods go in doubling bands [P, 2P-1], and only candidate periods are
   scanned.  A run of at least ``need`` matches at shift p holds, in its
@@ -58,14 +59,15 @@ Two independent routes are kept deliberately separate:
 searcher, the sampler and ``violations_ending_at``: when a word grows by
 one letter, any new violation must end at that letter.  It keeps the
 minimal violating run ``need[p]`` per period (grown lazily with the word)
-and the word as a byte buffer.  Periods below ``_DIRECT_PERIODS`` are
-compared letter by letter; larger ones go in doubling bands [P, 2P-1].
-Since need is non-decreasing in p, a violation at any period q of the band
-has a match-run of at least m = need[P] ending at the new letter.
-``_recurrences``, the module's one byte search over a packed word, which
-the scanners' filter shares, lists in C, ascending, the periods at which a
-suffix recurs (``rfind``), and one loop confirms each listed period by
-one letter and one slice comparison of length need[q].
+and the word as a byte buffer of exactly the letters its callers give.
+Periods below ``_DIRECT_PERIODS`` are compared letter by letter; larger
+ones go in doubling bands [P, 2P-1].  Since need is non-decreasing in p, a
+violation at any period q of the band has a match-run of at least m =
+need[P] ending at the new letter.  ``_recurrences``, the module's one byte
+search over a packed word, which the scanners' filter shares, lists in C,
+ascending, the periods at which a suffix recurs (``rfind``), and one loop
+confirms each listed period by one letter and one slice comparison of
+length need[q].
 
 A band search is kept and reused for the positions that follow it.  A run
 of at least m ending at pos holds a run of at least h = ceil(m/2) ending
@@ -280,7 +282,7 @@ def violations_ending_at(w: Word, c: FreenessConstraint, pos: int) -> Occurrence
     """
     if not 0 <= pos < len(w):
         raise ValueError(f"pos {pos} out of range for word of length {len(w)}")
-    kernel = ViolationKernel(c, w.alphabet, w.letters[: pos + 1])
+    kernel = ViolationKernel(c, w.alphabet, _readable(w)[: pos + 1])
     p = kernel.first_period(pos)
     if not p:
         return None
@@ -295,7 +297,7 @@ def violations_ending_at(w: Word, c: FreenessConstraint, pos: int) -> Occurrence
 # w[pos-p-need[p]+1 .. pos-p] with pos-p-need[p]+1 >= 0, where need[p] is the
 # minimal match-run for the threshold (see the module docstring for the band
 # search).  Letters are stored at a fixed width of k bytes (k = 1 up to 256
-# letters).
+# letters) and exactly as given.
 
 # Periods below this are checked by the direct letter loop.  A band costs one
 # rfind and one slice however few periods it holds, and most short periods
@@ -310,29 +312,35 @@ _DIRECT_PERIODS = 12
 # The array module would do the same, but loading it adds a few hundred KiB
 # of resident memory to every process that imports this module.
 _FORMATS = [(memoryview(bytes(8)).cast(f).itemsize, f) for f in "BHIQ"]
+_WIDEST = 256 ** _FORMATS[-1][0]
 
 
-def _letter_format(alphabet: int) -> tuple[int, str]:
-    """(bytes per letter, memoryview format) of the narrowest format that
-    holds `alphabet` letters, or the widest one."""
-    return next((fmt for fmt in _FORMATS if alphabet <= 256 ** fmt[0]), _FORMATS[-1])
+def _encode(letters, alphabet: int) -> tuple[int, str, bytearray, MutableSequence[int]]:
+    """(width, fmt, buf, seq): `letters`, exactly as given (else
+    ValueError), in a bytearray at the narrowest width and format that hold
+    `alphabet` letters, or the widest, and the same memory viewed as integer
+    letters (buf itself at one byte).  The one place a width is chosen."""
+    width, fmt = next((f for f in _FORMATS if alphabet <= 256 ** f[0]), _FORMATS[-1])
+    buf = bytearray(letters if width == 1 else _packed(letters, fmt))
+    return width, fmt, buf, buf if width == 1 else memoryview(buf).cast(fmt)
 
 
-def _encode(letters, alphabet: int) -> tuple[bytearray, MutableSequence[int]]:
-    """(buf, seq): `letters` in a bytearray at the width `_letter_format`
-    picks, and the same memory viewed as integer letters (buf itself for
-    one-byte letters).  Letters too large for the widest format are
-    relabelled densely, since only letter equality matters."""
-    width, fmt = _letter_format(alphabet)
-    if alphabet > 256 ** width and max(letters, default=0) >= 256 ** width:
+def _packed(letters, fmt: str) -> bytes:
+    """`letters` at the native size of `fmt`, as memoryview.cast reads
+    them; a letter that does not fit raises ValueError."""
+    try:
+        return struct.pack(f"{len(letters)}{fmt}", *letters)
+    except struct.error as exc:
+        raise ValueError(f"letters do not fit format {fmt!r}: {exc}") from None
+
+
+def _readable(w: Word):
+    """w's letters for a check that only reads them: as given, or, past
+    the widest format, relabelled densely (only equality matters)."""
+    if w.alphabet > _WIDEST and max(w.letters, default=0) >= _WIDEST:
         ids: dict[int, int] = {}
-        letters = [ids.setdefault(x, len(ids)) for x in letters]
-    if width == 1:
-        buf = bytearray(letters)
-        return buf, buf
-    # native sizes, as memoryview.cast reads them
-    buf = bytearray(struct.pack(f"{len(letters)}{fmt}", *letters))
-    return buf, memoryview(buf).cast(fmt)
+        return [ids.setdefault(x, len(ids)) for x in w.letters]
+    return w.letters
 
 
 def _recurrences(buf: bytes | bytearray, k: int, end: int, h: int, lo: int, hi: int) -> list[int]:
@@ -358,11 +366,13 @@ class ViolationKernel:
     """Incremental violation check for one constraint on a word it owns.
 
     The word lives in a bytearray ``buf`` at ``width`` bytes per letter;
-    ``seq`` views it as integer letters (``buf`` itself at one byte).
-    ``write`` overwrites a span and ``seq[i] = x`` one letter, each below
-    256**width.  ``need[p]`` is the minimal match-run that makes period p
-    forbidden; it is computed once per period and grown lazily with the
-    longest prefix checked, so short searches never pay for long ones.
+    ``seq`` views it as integer letters (``buf`` itself at one byte).  It
+    holds exactly the letters its callers give: ``write`` overwrites a span
+    inside the word and ``seq[i] = x`` one letter, and a letter too large
+    for the width raises ValueError, as at construction.  ``need[p]`` is
+    the minimal match-run that makes period p forbidden; it is computed
+    once per period and grown lazily with the longest prefix checked, so
+    short searches never pay for long ones.
 
     A band [P, 2P-1] with m = need[P] >= 2 is searched once for many
     positions.  A violation of period q in the band ending at pos has a
@@ -398,20 +408,19 @@ class ViolationKernel:
         self.num = c.threshold.numerator
         self.den = c.threshold.denominator
         self.strict = c.mode is Mode.STRICT
-        self.width, self._fmt = _letter_format(alphabet)
-        self.buf, self.seq = _encode(letters, alphabet)
+        self.width, self._fmt, self.buf, self.seq = _encode(letters, alphabet)
         self.need = [0]  # need[0] is unused
         # band start P -> [c, last position served, periods found at c]
         self._marks: dict[int, list] = {}
         self._top = -1  # every kept band search has c <= _top
 
     def write(self, start: int, letters: list[int]) -> None:
-        """Overwrite the word from index `start` on; call next at `start`."""
+        """Overwrite the word from index `start` on; call next at `start`.
+        The span must lie inside the word, else ValueError."""
         k, n = self.width, len(letters)
-        if k == 1:
-            self.buf[start : start + n] = letters
-        else:
-            self.buf[start * k : (start + n) * k] = struct.pack(f"{n}{self._fmt}", *letters)
+        if not 0 <= start <= start + n <= len(self.seq):
+            raise ValueError(f"span [{start}, {start + n}) outside the word's {len(self.seq)} letters")
+        self.buf[start * k : (start + n) * k] = letters if k == 1 else _packed(letters, self._fmt)
 
     def _grow(self, pmax: int) -> None:
         need = self.need
@@ -523,8 +532,8 @@ _FILTER_MIN_WORK = 1024
 
 def _pack(w: Word) -> tuple[int, bytes, int]:
     """(k, buf, x): bytes per letter, the packed word, and its integer image."""
-    buf = bytes(_encode(w.letters, w.alphabet)[0])
-    return _letter_format(w.alphabet)[0], buf, int.from_bytes(buf, "little")
+    k, _, buf, _ = _encode(_readable(w), w.alphabet)
+    return k, bytes(buf), int.from_bytes(buf, "little")
 
 
 def _period_floor(letters, min_period: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from pathlib import Path
 
 __all__ = [
@@ -64,7 +65,8 @@ class Word:
     `letters` may be any iterable of ints; it is stored as a tuple.  Letters
     given as `bytes` or `bytearray` are range-checked in one C pass (deleting
     every byte below the alphabet size leaves nothing), any other form
-    letter by letter.
+    letter by letter, where a letter that is not an integer (a float, a
+    Fraction) raises TypeError.
     """
 
     alphabet: int
@@ -83,11 +85,14 @@ class Word:
             object.__setattr__(self, "letters", letters)
             if checked:
                 return
-        for pos, x in enumerate(letters):
-            if not 0 <= x < a:
-                raise ValueError(
-                    f"position {pos}: letter {x} out of range for alphabet size {a}"
-                )
+        try:
+            for pos, x in enumerate(letters):
+                if not 0 <= index(x) < a:
+                    raise ValueError(
+                        f"position {pos}: letter {x} out of range for alphabet size {a}"
+                    )
+        except TypeError:
+            raise TypeError(f"position {pos}: letter {x!r} is not an integer") from None
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -276,3 +276,39 @@ def test_lowest_start_tie_goes_to_smallest_period(a):
     assert letters[s - 1] not in (letters[s + 19], letters[s + 39])  # both runs are maximal at s
     assert ref_lowest_start(letters, 1, 5, 4, False, pos) == Occurrence(s, 20, 60)
     assert kernel.lowest_start(pos, p) == (s, 20, 60)
+
+
+@pytest.mark.parametrize("alphabet", [3, 300, 2**20, 2**40], ids=("1-byte", "2-byte", "4-byte", "8-byte"))
+def test_write_rejects_a_span_outside_the_word(alphabet):
+    # A one-byte word used to grow past its end and a negative start wrote
+    # from the end; wider words raised BufferError on growth.
+    kernel = ViolationKernel(FreenessConstraint(1, Fraction(2)), alphabet, [0, 1, 2, 0, 1])
+    for start, letters in ((4, [2, 0, 1]), (-2, [2]), (5, [0]), (6, [])):
+        with pytest.raises(ValueError, match="outside the word"):
+            kernel.write(start, letters)
+    assert list(kernel.seq) == [0, 1, 2, 0, 1]
+    kernel.write(3, [2, 2])
+    kernel.write(5, [])
+    assert list(kernel.seq) == [0, 1, 2, 2, 2]
+
+
+def test_kernel_stores_letters_exactly_as_given():
+    # A letter of 64 bits or more used to make the kernel relabel its word
+    # while write took raw letters: after write(1, [0]) the word
+    # 2**69 0 7 read as a square 0 0 at position 1.  Such a letter is now
+    # rejected at construction, by write and by seq, and letters below
+    # 2**64 over the same alphabet are stored as they are.
+    c = FreenessConstraint(1, Fraction(2))
+    with pytest.raises(ValueError):
+        ViolationKernel(c, 2**70, [2**69, 5, 7])
+    kernel = ViolationKernel(c, 2**70, [2**63, 5, 7])
+    assert list(kernel.seq) == [2**63, 5, 7]
+    with pytest.raises(ValueError):
+        kernel.write(1, [2**69])
+    with pytest.raises(ValueError):
+        kernel.seq[1] = 2**64
+    kernel.write(1, [0])
+    assert list(kernel.seq) == [2**63, 0, 7]
+    assert kernel.first_period(1) == 0
+    with pytest.raises(ValueError):
+        ViolationKernel(c, 300, [1, 2**16])  # past the alphabet's width

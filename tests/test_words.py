@@ -118,6 +118,17 @@ def test_word_validation():
         Word(2, (-1,))
 
 
+def test_word_rejects_non_integer_letters():
+    # Before this check Word(2, [0.5, 1]) was accepted, and the naive
+    # oracle answered None on it while max_exponent raised TypeError.
+    for letters in ([0.5, 1], (0, Fraction(1, 2)), [0, "1"], (1, None)):
+        with pytest.raises(TypeError, match="is not an integer"):
+            Word(2, letters)
+    with pytest.raises(TypeError, match="^position 1: letter 1.0 is not an integer$"):
+        Word(2, (x for x in [0, 1.0]))
+    assert Word(2, [True, False]).letters == (True, False)  # bool is an integer
+
+
 def test_word_accepts_every_iterable_form():
     forms = {
         "generator": lambda: (x for x in range(5)),
