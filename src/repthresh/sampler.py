@@ -5,7 +5,8 @@ Randomness comes from a splitmix64 stream (the 2014 Steele-Lea-Flood mixer)
 so that runs are reproducible bit-for-bit across platforms and Python
 versions.  Stream discipline, frozen as part of the contract:
 
-* one 64-bit draw per letter, reduced modulo the alphabet size;
+* one 64-bit draw per letter, reduced modulo the alphabet size, so the
+  alphabet is at most 2**64 (a larger one raises ValueError);
 * the initial word draws positions 0..n-1 in order;
 * each resample redraws the letters of its occurrence span left to right.
 
@@ -164,9 +165,10 @@ def _run_sampler(
     config: SamplerConfig,
     record_trace: bool,
 ) -> tuple[SamplerReport, list[tuple[Occurrence, int]]]:
-    if alphabet_size < 2:
+    # One 64-bit draw per letter reaches no letter at or above 2**64.
+    if not 2 <= alphabet_size <= 1 << 64:
         raise ValueError(
-            f"alphabet size must be >= 2 for sampling, got {alphabet_size}"
+            f"alphabet size must be in 2..2**64 for sampling, got {alphabet_size}"
         )
     rng = SplitMix64(config.seed)
     # The letter stream, drawn a block at a time and consumed in C.

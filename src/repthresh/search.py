@@ -39,8 +39,9 @@ __all__ = [
     "default_target_length",
 ]
 
-# Independent re-verification of EXHAUSTED certificates enumerates all
-# alphabet**(depth+1) words; beyond these limits it is skipped and flagged.
+# Independent re-verification of EXHAUSTED certificates walks the canonical
+# words of length depth+1, which stand for all alphabet**(depth+1) words;
+# beyond these limits it is skipped and flagged.
 _REVERIFY_MAX_DEPTH = 12
 _REVERIFY_MAX_ALPHABET = 3
 
@@ -392,6 +393,16 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     canonical word of length max_depth is the prefix of exactly one
     candidate, the one ending in letter 0, so those candidates' prefixes
     are scanned until one is clean (at max_depth 0 the empty prefix is).
+
+    The scan's first yield is a forbidden run (start, period, length).
+    When it ends at or before index max_depth (start + length <= max_depth)
+    it lies in the candidate's prefix, so the later siblings (the same
+    prefix, a larger last letter), which come next in the walk, are
+    skipped unscanned, and so is that prefix's attainment check.  Both
+    could only read "violates", so every verdict and detail is that of the
+    full walk: the first clean candidate is never skipped, so it is still
+    the counterexample; attainment is decided by the same clean prefixes;
+    and the "re-enumerated all" count is still of the words covered.
     """
     if cert.alphabet_size < 1:
         return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
@@ -430,15 +441,24 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     # unpacked once for the whole enumeration, not once per word
     args = c.min_period, c.threshold.numerator, c.threshold.denominator, c.mode is Mode.STRICT
     attained = False
+    # whether the last candidate scanned violates within its prefix; the
+    # siblings of a prefix come together, the first ending in letter 0
+    in_prefix = False
     for candidate in _canonical_words(a, depth + 1):
-        if next(_naive_wins(candidate, *args), None) is None:
+        last = candidate[-1]
+        if last and in_prefix:
+            continue  # a later sibling: it holds the same run
+        first = next(_naive_wins(candidate, *args), None)
+        if first is None:
             return VerificationResult(
                 False,
                 True,
                 f"counterexample of length {depth + 1}: {render_word(Word(a, candidate))}",
             )
+        start, _, length = first
+        in_prefix = start + length <= depth
         # max_depth must be attained, not just be an upper bound
-        if not attained and candidate[-1] == 0:
+        if not (attained or in_prefix) and last == 0:
             attained = next(_naive_wins(candidate[:-1], *args), None) is None
     if not attained:
         return VerificationResult(False, True, f"no satisfying word of the claimed depth {depth}")

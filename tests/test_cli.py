@@ -226,6 +226,14 @@ def test_sample_seed_out_of_range_exits_2(capsys, tmp_path, seed):
     )
 
 
+def test_sample_alphabet_above_2_to_the_64_exits_2(capsys, tmp_path):
+    # one 64-bit draw per letter never reaches a letter of 2**64 or more
+    assert_clean_failure(
+        capsys, tmp_path,
+        ["sample", "--alphabet", str(2**64 + 1), "--threshold", "2", "--length", "8"],
+    )
+
+
 # --- bounds ---------------------------------------------------------------------
 
 

@@ -91,9 +91,9 @@ def test_deep_reached_search_matches_reference(a, l, r, target):
 
 # (alphabet, letter pool) at one, two, four and eight bytes per letter;
 # the wider pools hold letters whose bytes collide across letter
-# boundaries, so unaligned rfind hits occur.  The last row is the
-# sampler's case above the widest format: an alphabet of 2**70 with every
-# letter below 2**64, so letters are stored as given, not relabelled.
+# boundaries, so unaligned rfind hits occur.  The last row is an alphabet
+# above the widest format, 2**70, with every letter below 2**64 (the
+# searcher's case), so letters are stored as given, not relabelled.
 WIDTHS = [
     (256, list(range(256))),
     (300, [1, 256, 257] + list(range(2, 200))),
@@ -212,8 +212,8 @@ def test_violations_ending_at_matches_reference(alphabet, letters):
 
 
 # Letter pools for lowest_start at one, two, four and eight bytes per
-# letter.  The kernel is built as the sampler builds it, on alphabet a, so
-# letters of 2**70 below 2**64 are stored as drawn; the wider pools hold
+# letter.  The kernel is built as the sampler builds it, on alphabet a;
+# letters of 2**70 below 2**64 are stored as given; the wider pools hold
 # letters whose bytes collide across letter boundaries, so unaligned rfind
 # hits occur and must be skipped.
 LOWEST_START_POOLS = {

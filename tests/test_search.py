@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -274,6 +277,44 @@ def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
     assert calls == []
 
 
+def test_verify_exhausted_skips_the_siblings_of_a_prefix_violation(monkeypatch):
+    # A forbidden run inside a candidate's first max_depth letters is in
+    # every later sibling too, and makes the prefix's attainment check
+    # moot: neither is scanned.  The full walk makes 1,187 scans here; a
+    # bound that skipped less (start + length <= max_depth - 1) makes more
+    # while every verdict stays exact.
+    calls = []
+    scan = search._naive_wins
+
+    def counting_scan(*args):
+        calls.append(args[0])
+        return scan(*args)
+
+    monkeypatch.setattr(search, "_naive_wins", counting_scan)
+    honest = extend_search(3, geq(2, 4, 3), 40)
+    assert honest.max_depth == 7
+    res = verify_certificate(honest)
+    assert res.ok and res.detail == "re-enumerated all 6561 words of length 8"
+    assert len(calls) == 421
+
+
+def test_verifier_shares_no_code_with_the_scanners():
+    # The re-proof is independent only if it reads none of the kernel's
+    # or the fast scanners' machinery, only the naive oracle's scan.
+    banned = {
+        "ViolationKernel", "first_period", "lowest_start", "_wins",
+        "_recurrences", "_encode", "exists_repetition", "max_exponent",
+    }
+    for fn in (search.verify_certificate, search._canonical_words):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert names.isdisjoint(banned), (fn.__name__, names & banned)
+
+
 def test_verify_exhausted_catches_understated_depth():
     honest = extend_search(2, geq(1, 2), 10)
     lying = SearchCertificate(
@@ -408,9 +449,9 @@ _CHEAP_WORDS = 3**8
 def test_verify_matches_full_enumeration():
     """The canonical enumeration gives the verdict of the former full one,
     detail text included: on every bracket certificate of {2, 3} x {1, 2, 3}
-    with symmetry on and off, on each EXHAUSTED one with max_depth one too
-    low (a counterexample) and one too high (no word of the claimed depth),
-    and at max_depth 0.  Certificates whose enumeration would pass
+    with symmetry on and off, on each EXHAUSTED one with max_depth one or
+    two too low (a counterexample) and one or two too high (no word of the
+    claimed depth), and at max_depth 0.  Certificates whose enumeration would pass
     _CHEAP_WORDS words are left out; criterion 8 re-proves the deep ones."""
     certs = []
     for a in (2, 3):
@@ -423,7 +464,7 @@ def test_verify_matches_full_enumeration():
         dataclasses.replace(cert, max_depth=cert.max_depth + step)
         for cert in certs
         if cert.outcome is Outcome.EXHAUSTED
-        for step in (-1, 1)
+        for step in (-2, -1, 1, 2)
     ]
     certs += [
         SearchCertificate(a, geq(1, 2), Outcome.EXHAUSTED, 0, 1, None, True, 0.0)
