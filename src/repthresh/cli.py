@@ -40,6 +40,7 @@ from .construct import (
     build_mapped_word,
     colorize,
     pigeonhole_witness,
+    rank_map_image_size,
     rank_map_table,
     thue_morse,
 )
@@ -262,7 +263,7 @@ def _construct_thue_morse(args) -> _Result:
 def _construct_rank_map(args) -> _Result:
     rows = rank_map_table(args.radix, args.block)
     text = _csv_text([("index", "rank", "value"), *rows])
-    note = f"image size L = {1 + max(value for _, _, value in rows)}"
+    note = f"image size L = {rank_map_image_size(args.radix, args.block)}"
     return _Result({"ftable.csv": text}, text, note=note)
 
 

@@ -59,6 +59,13 @@ def thue_morse(n: int) -> Word:
     return Word(2, t[:n])
 
 
+def _check_ml(m: int, l: int) -> None:
+    if m < 2:
+        raise ValueError(f"radix must be >= 2, got {m}")
+    if l < 1:
+        raise ValueError(f"block size must be >= 1, got {l}")
+
+
 def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:
     """Value and rank of f at index i inside the first block (0 <= i < l).
 
@@ -68,10 +75,7 @@ def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:
     value = (rank-1)*(m-1) + (q mod m).  Exactly one rank applies to every
     index, so f is total on the block.
     """
-    if m < 2:
-        raise ValueError(f"radix must be >= 2, got {m}")
-    if l < 1:
-        raise ValueError(f"block size must be >= 1, got {l}")
+    _check_ml(m, l)
     if not 0 <= i < l:
         raise ValueError(f"index {i} outside block [0, {l})")
     q = i
@@ -84,14 +88,20 @@ def rank_map_eval(i: int, m: int, l: int) -> tuple[int, int]:
 
 def rank_map_image_size(m: int, l: int) -> int:
     """L = number of source positions used by one block; the image of
-    [0, l) under f is exactly {0, ..., L-1}."""
-    return 1 + max(value for _, _, value in rank_map_table(m, l))
+    [0, l) under f is exactly {0, ..., L-1}.
+
+    With P the largest power of m that is at most l, ranks up to log_m P
+    fill their bands of m-1 values and the top rank reaches floor(l/P) - 1
+    (at index floor(l/P)*P - 1), so L = log_m(P)*(m-1) + floor(l/P): one
+    band per base-m digit of l after the leading one, plus that digit.
+    """
+    _check_ml(m, l)
+    return l if l < m else m - 1 + rank_map_image_size(m, l // m)
 
 
 def rank_map_table(m: int, l: int) -> list[tuple[int, int, int]]:
     """Rows (index, rank, value) for the first block, CSV-ready."""
-    if l < 1:
-        raise ValueError(f"block size must be >= 1, got {l}")
+    _check_ml(m, l)
     rows = []
     for i in range(l):
         value, rank = rank_map_eval(i, m, l)
@@ -101,13 +111,12 @@ def rank_map_table(m: int, l: int) -> list[tuple[int, int, int]]:
 
 def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
     """The pullback word tau with tau[i] = source[f(i)] for i < n."""
-    if m < 2:
-        raise ValueError(f"radix must be >= 2, got {m}")
-    # f(i) = f(i mod l) + (i div l) * L (see the module docstring)
-    block = [value for _, _, value in rank_map_table(m, l)]
+    image = rank_map_image_size(m, l)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    image = 1 + max(block)
+    # f(i) = f(i mod l) + (i div l) * L (see the module docstring), and
+    # only the first min(l, n) indices of the block are used
+    block = [rank_map_eval(i, m, l)[0] for i in range(min(l, n))]
     # the last index n-1 sits in block J = (n-1)//l, after every earlier
     # block's image, so the largest value lies in block J's first (n-1)%l + 1 indices
     J, r = divmod(n - 1, l)
@@ -117,7 +126,7 @@ def build_mapped_word(source: Word, m: int, l: int, n: int) -> Word:
             f"source word too short: need {needed} letters, have {len(source)}"
         )
     letters, tau = source.letters, [0] * n
-    for i, value in enumerate(block[:n]):
+    for i, value in enumerate(block):
         tau[i::l] = letters[value : value + len(range(i, n, l)) * image : image]
     return Word(source.alphabet, tau)
 

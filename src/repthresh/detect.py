@@ -555,8 +555,6 @@ def _period_floor(letters, min_period: int) -> int:
 def _match_vector(x: int, n: int, k: int, p: int) -> bytes:
     """One byte per position i < n - p, zero exactly where w[i] == w[i+p]."""
     z = x ^ (x >> (8 * k * p))
-    if k == 1:
-        return z.to_bytes(n, "little")[: n - p]
     shift = 8
     while shift < 8 * k:
         z |= z >> shift

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 # Independent re-verification of EXHAUSTED certificates walks the canonical
-# words of length depth+1, which stand for all alphabet**(depth+1) words;
-# beyond these limits it is skipped and flagged.
+# prefixes of length depth, then each one's children, which stand for all
+# alphabet**(depth+1) words; beyond these limits it is skipped and flagged.
 _REVERIFY_MAX_DEPTH = 12
 _REVERIFY_MAX_ALPHABET = 3
 
@@ -353,6 +353,12 @@ class VerificationResult:
         return self.ok
 
 
+def _canonical_letters(alphabet_size: int, word: tuple) -> range:
+    """The letters that may follow canonical `word` and keep it canonical:
+    those it uses and the smallest unused one, ascending."""
+    return range(min(max(word, default=-1) + 2, alphabet_size))
+
+
 def _canonical_words(alphabet_size: int, length: int):
     """Yield, in lexicographic order, the canonical words of `length` letters
     below `alphabet_size`: those whose letters first appear in the order 0,
@@ -362,7 +368,7 @@ def _canonical_words(alphabet_size: int, length: int):
         yield ()
         return
     for prefix in _canonical_words(alphabet_size, length - 1):
-        for x in range(min(max(prefix, default=-1) + 2, alphabet_size)):
+        for x in _canonical_letters(alphabet_size, prefix):
             yield prefix + (x,)
 
 
@@ -389,20 +395,16 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     letter at the first position it changes), so a counterexample names the
     same word; a clean word of the claimed depth exists exactly when a
     canonical one does; and the "re-enumerated all" count is of the words
-    covered.  That max_depth is attained is checked in the same pass: each
-    canonical word of length max_depth is the prefix of exactly one
-    candidate, the one ending in letter 0, so those candidates' prefixes
-    are scanned until one is clean (at max_depth 0 the empty prefix is).
+    covered.
 
-    The scan's first yield is a forbidden run (start, period, length).
-    When it ends at or before index max_depth (start + length <= max_depth)
-    it lies in the candidate's prefix, so the later siblings (the same
-    prefix, a larger last letter), which come next in the walk, are
-    skipped unscanned, and so is that prefix's attainment check.  Both
-    could only read "violates", so every verdict and detail is that of the
-    full walk: the first clean candidate is never skipped, so it is still
-    the counterexample; attainment is decided by the same clean prefixes;
-    and the "re-enumerated all" count is still of the words covered.
+    The walk takes each canonical prefix of length max_depth, then its
+    children in ascending order.  That max_depth is attained is checked in
+    the same pass: after a prefix's first child (letter 0) the prefix is
+    scanned, until one is clean (at max_depth 0 the empty prefix is).
+    The scan's first yield is a forbidden run (start, period, length); one
+    that ends inside the prefix (start + length <= max_depth) is in every
+    later child and makes the prefix unclean, so the walk leaves that
+    prefix.
     """
     if cert.alphabet_size < 1:
         return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
@@ -441,25 +443,22 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     # unpacked once for the whole enumeration, not once per word
     args = c.min_period, c.threshold.numerator, c.threshold.denominator, c.mode is Mode.STRICT
     attained = False
-    # whether the last candidate scanned violates within its prefix; the
-    # siblings of a prefix come together, the first ending in letter 0
-    in_prefix = False
-    for candidate in _canonical_words(a, depth + 1):
-        last = candidate[-1]
-        if last and in_prefix:
-            continue  # a later sibling: it holds the same run
-        first = next(_naive_wins(candidate, *args), None)
-        if first is None:
-            return VerificationResult(
-                False,
-                True,
-                f"counterexample of length {depth + 1}: {render_word(Word(a, candidate))}",
-            )
-        start, _, length = first
-        in_prefix = start + length <= depth
-        # max_depth must be attained, not just be an upper bound
-        if not (attained or in_prefix) and last == 0:
-            attained = next(_naive_wins(candidate[:-1], *args), None) is None
+    for prefix in _canonical_words(a, depth):
+        for x in _canonical_letters(a, prefix):
+            candidate = prefix + (x,)
+            first = next(_naive_wins(candidate, *args), None)
+            if first is None:
+                return VerificationResult(
+                    False,
+                    True,
+                    f"counterexample of length {depth + 1}: {render_word(Word(a, candidate))}",
+                )
+            start, _, length = first
+            if start + length <= depth:
+                break  # the run lies in the prefix, so every later child holds it
+            # max_depth must be attained, not just be an upper bound
+            if not attained and x == 0:
+                attained = next(_naive_wins(prefix, *args), None) is None
     if not attained:
         return VerificationResult(False, True, f"no satisfying word of the claimed depth {depth}")
     return VerificationResult(

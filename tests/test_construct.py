@@ -28,7 +28,7 @@ from repthresh import (
     verify_occurrence,
     weak_upper_bound,
 )
-from repthresh import FreenessConstraint, Mode
+from repthresh import FreenessConstraint, Mode, construct
 from conftest import random_word
 from reference_kernel import ref_rank_map_block_extend
 
@@ -91,6 +91,9 @@ def test_rank_map_validation():
         rank_map_eval(0, 2, 0)
     with pytest.raises(ValueError, match="block size must be >= 1, got 0"):
         rank_map_image_size(2, 0)
+    # checked before the closed form, whose recursion would not end at radix 1
+    with pytest.raises(ValueError, match="radix must be >= 2, got 1"):
+        rank_map_image_size(1, 5)
 
 
 def _rule_matches(i: int, m: int) -> list[int]:
@@ -143,10 +146,9 @@ def test_rank_map_image_contiguous(m):
         seen.add(v)
         top = max(top, v)
         assert len(seen) == top + 1, f"gap in image at l={l}, m={m}"
-    for l in [1, 2, 7, 64, 100, 729, 1000]:
-        assert rank_map_image_size(m, l) == 1 + max(
-            rank_map_eval(i, m, l)[0] for i in range(l)
-        )
+        # top is the largest value of f on [0, l), which depends on l only
+        # through the bounds check
+        assert rank_map_image_size(m, l) == top + 1, (l, m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -181,6 +183,21 @@ def test_build_mapped_word_examples():
     w2 = build_mapped_word(parse_word("01", 2), 2, 2, 2)
     assert w2.letters == (0, 1)
     assert len(build_mapped_word(digits, 2, 8, 0)) == 0
+
+
+def test_build_mapped_word_evaluates_only_the_indices_it_uses(monkeypatch):
+    # n < l letters need only the block's first n values, not its l rows
+    calls = []
+    evaluate = construct.rank_map_eval
+
+    def counting_eval(i, m, l):
+        calls.append(i)
+        return evaluate(i, m, l)
+
+    monkeypatch.setattr(construct, "rank_map_eval", counting_eval)
+    w = build_mapped_word(Word(4, (0, 1, 2, 3)), 2, 1000, 4)
+    assert w.letters == (0, 1, 0, 2)
+    assert calls == [0, 1, 2, 3]
 
 
 def test_build_mapped_word_source_too_short():

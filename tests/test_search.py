@@ -252,8 +252,9 @@ def test_verify_exhausted_builds_a_word_only_for_a_counterexample(monkeypatch):
 
 
 def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
-    # one walk of length max_depth+1 also shows that max_depth is attained;
-    # the generator recurses through the module name, so every level counts
+    # one walk of the prefixes of length max_depth, whose children are
+    # scanned in place, also shows that max_depth is attained; the generator
+    # recurses through the module name, so every level counts
     calls = []
     walk = search._canonical_words
 
@@ -266,7 +267,7 @@ def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
     assert honest.max_depth == 3
     res = verify_certificate(honest)
     assert res.ok and res.independently_verified
-    assert calls == [4, 3, 2, 1, 0]
+    assert calls == [3, 2, 1, 0]
     calls.clear()
     for cert in (
         extend_search(2, strict(1, 2), 50),  # REACHED
@@ -300,12 +301,19 @@ def test_verify_exhausted_skips_the_siblings_of_a_prefix_violation(monkeypatch):
 
 def test_verifier_shares_no_code_with_the_scanners():
     # The re-proof is independent only if it reads none of the kernel's
-    # or the fast scanners' machinery, only the naive oracle's scan.
+    # or the fast scanners' machinery, only the naive oracle's scan.  Every
+    # function of this module that the verifier names, directly or through
+    # another such function, is checked.
     banned = {
         "ViolationKernel", "first_period", "lowest_start", "_wins",
         "_recurrences", "_encode", "exists_repetition", "max_exponent",
     }
-    for fn in (search.verify_certificate, search._canonical_words):
+    todo, checked = [search.verify_certificate], set()
+    while todo:
+        fn = todo.pop()
+        if fn.__name__ in checked:
+            continue
+        checked.add(fn.__name__)
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         names = {
             node.id if isinstance(node, ast.Name) else node.attr
@@ -313,6 +321,11 @@ def test_verifier_shares_no_code_with_the_scanners():
             if isinstance(node, (ast.Name, ast.Attribute))
         }
         assert names.isdisjoint(banned), (fn.__name__, names & banned)
+        todo += [
+            obj for obj in map(vars(search).get, names)
+            if inspect.isfunction(obj) and obj.__module__ == search.__name__
+        ]
+    assert {"verify_certificate", "_canonical_words", "_canonical_letters"} <= checked
 
 
 def test_verify_exhausted_catches_understated_depth():
