@@ -39,9 +39,10 @@ __all__ = [
     "default_target_length",
 ]
 
-# Independent re-verification of EXHAUSTED certificates walks the canonical
-# prefixes of length depth, then each one's children, which stand for all
-# alphabet**(depth+1) words; beyond these limits it is skipped and flagged.
+# Independent re-verification of EXHAUSTED certificates scans the canonical
+# prefixes of length depth, then the children of each clean one, which
+# stand for all alphabet**(depth+1) words; beyond these limits it is
+# skipped and flagged.
 _REVERIFY_MAX_DEPTH = 12
 _REVERIFY_MAX_ALPHABET = 3
 
@@ -376,11 +377,11 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     """Re-check a certificate against independent machinery.
 
     REACHED witnesses are re-scanned with the naive oracle.  Small EXHAUSTED
-    certificates (max_depth <= 12, alphabet <= 3) are re-proved by checking
-    every canonical word of length max_depth+1, which covers all
+    certificates (max_depth <= 12, alphabet <= 3) are re-proved by showing
+    that no canonical word of length max_depth+1 is clean, which covers all
     alphabet**(max_depth+1) words up to relabelling; larger ones are
-    accepted with independently_verified=False.  Each canonical word is
-    checked by the naive oracle's own scan (``detect._naive_wins``) on the
+    accepted with independently_verified=False.  Each word is checked by
+    the naive oracle's own scan (``detect._naive_wins``) on the
     bare letter tuple, read only up to its first forbidden run: the
     re-proof asks whether a word violates, not how badly.  A ``Word`` is
     built only to render a counterexample.  A malformed certificate
@@ -397,14 +398,11 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     canonical one does; and the "re-enumerated all" count is of the words
     covered.
 
-    The walk takes each canonical prefix of length max_depth, then its
-    children in ascending order.  That max_depth is attained is checked in
-    the same pass: after a prefix's first child (letter 0) the prefix is
-    scanned, until one is clean (at max_depth 0 the empty prefix is).
-    The scan's first yield is a forbidden run (start, period, length); one
-    that ends inside the prefix (start + length <= max_depth) is in every
-    later child and makes the prefix unclean, so the walk leaves that
-    prefix.
+    The walk scans each canonical prefix of length max_depth once.  A
+    violating prefix is passed over whole, since each of its children
+    holds the same run.  A clean prefix shows that max_depth is attained
+    (at max_depth 0 the empty prefix is clean), and its children are
+    scanned in ascending order.
     """
     if cert.alphabet_size < 1:
         return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
@@ -444,21 +442,17 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     args = c.min_period, c.threshold.numerator, c.threshold.denominator, c.mode is Mode.STRICT
     attained = False
     for prefix in _canonical_words(a, depth):
+        if next(_naive_wins(prefix, *args), None) is not None:
+            continue  # every child holds the prefix's run
+        attained = True  # max_depth must be attained, not just be an upper bound
         for x in _canonical_letters(a, prefix):
             candidate = prefix + (x,)
-            first = next(_naive_wins(candidate, *args), None)
-            if first is None:
+            if next(_naive_wins(candidate, *args), None) is None:
                 return VerificationResult(
                     False,
                     True,
                     f"counterexample of length {depth + 1}: {render_word(Word(a, candidate))}",
                 )
-            start, _, length = first
-            if start + length <= depth:
-                break  # the run lies in the prefix, so every later child holds it
-            # max_depth must be attained, not just be an upper bound
-            if not attained and x == 0:
-                attained = next(_naive_wins(prefix, *args), None) is None
     if not attained:
         return VerificationResult(False, True, f"no satisfying word of the claimed depth {depth}")
     return VerificationResult(

@@ -148,6 +148,7 @@ class FreenessConstraint:
     mode: Mode = Mode.GEQ
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "min_period", index(self.min_period))
         if self.min_period < 1:
             raise ValueError(f"min_period must be >= 1, got {self.min_period}")
         if isinstance(self.threshold, float):

@@ -1,10 +1,12 @@
 import ast
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
 import textwrap
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -278,12 +280,10 @@ def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
     assert calls == []
 
 
-def test_verify_exhausted_skips_the_siblings_of_a_prefix_violation(monkeypatch):
-    # A forbidden run inside a candidate's first max_depth letters is in
-    # every later sibling too, and makes the prefix's attainment check
-    # moot: neither is scanned.  The full walk makes 1,187 scans here; a
-    # bound that skipped less (start + length <= max_depth - 1) makes more
-    # while every verdict stays exact.
+def test_verify_exhausted_opens_only_clean_prefixes(monkeypatch):
+    # Each canonical prefix of length max_depth is scanned once, and only
+    # the children of a clean one are scanned: a violating prefix's run is
+    # in every child.  The full walk makes 1,187 scans here.
     calls = []
     scan = search._naive_wins
 
@@ -296,7 +296,8 @@ def test_verify_exhausted_skips_the_siblings_of_a_prefix_violation(monkeypatch):
     assert honest.max_depth == 7
     res = verify_certificate(honest)
     assert res.ok and res.detail == "re-enumerated all 6561 words of length 8"
-    assert len(calls) == 421
+    lengths = Counter(map(len, calls))
+    assert lengths == {7: 365, 8: 6}  # the children of the 2 clean prefixes
 
 
 def test_verifier_shares_no_code_with_the_scanners():
@@ -496,6 +497,36 @@ def test_verify_matches_full_enumeration():
         seen.add(res.detail.split(" ")[0])
     assert seen == {"re-enumerated", "counterexample", "no", "witness", "not"}
     assert len(cheap) > len(certs) // 2
+
+
+def test_verify_verdicts_on_the_bracket_grid():
+    """Every verdict on the 425 certificates of {2..5} x {1..5}, frozen: each
+    EXHAUSTED certificate with max_depth moved by -2..+2, and each REACHED
+    one as it is.  The digest is of the repr((ok, independently_verified,
+    detail)) lines; the count of each detail kind says which verdicts moved."""
+    lines = []
+    for a in range(2, 6):
+        for l in range(1, 6):
+            for cert in bracket_threshold(a, l).certificates:
+                variants = [cert]
+                if cert.outcome is Outcome.EXHAUSTED:
+                    variants = [
+                        dataclasses.replace(cert, max_depth=cert.max_depth + step)
+                        for step in range(-2, 3)
+                    ]
+                for variant in variants:
+                    res = verify_certificate(variant)
+                    lines.append(repr((res.ok, res.independently_verified, res.detail)))
+    kinds = Counter(line.split("'")[1].split(" ")[0] for line in lines)
+    assert kinds == {
+        "re-enumerated": 45,
+        "counterexample": 97,
+        "no": 86,  # no satisfying word of the claimed depth
+        "not": 177,  # not independently re-verified
+        "witness": 20,
+    }
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "517de60114f3c7e4562acec389e23eb30448ad174be637474ecbf37fdf5e7af2"
 
 
 def test_verify_budget_certificate():

@@ -327,6 +327,12 @@ def test_constraint_validation():
         assert detect(w, 1, c).constraint_violated is (square is not None)
     with pytest.raises(ValueError, match="'GEQ' is not a valid Mode"):
         FreenessConstraint(1, Fraction(2), "GEQ")
+    # min_period is normalised to an int like the other fields: a float is
+    # rejected here, not deep inside whichever detector reads it first
+    with pytest.raises(TypeError):
+        FreenessConstraint(1.0, Fraction(2))
+    c = FreenessConstraint(True, Fraction(2))
+    assert type(c.min_period) is int and c.min_period == 1
 
 
 def test_constraint_rejects_float_threshold():
