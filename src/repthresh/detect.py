@@ -108,15 +108,19 @@ __all__ = [
 class DetectionReport:
     """Outcome of a detection pass over one word.
 
-    ``max_exponent`` is None exactly when no occurrence with exponent > 1
-    and period >= the queried minimum exists (every word trivially has
-    exponent 1, which is never reported).  ``constraint_violated`` is only
+    ``witness`` is an occurrence of maximal exponent, and None exactly when
+    no occurrence with exponent > 1 and period >= the queried minimum exists
+    (every word trivially has exponent 1, which is never reported);
+    ``max_exponent`` is read from it.  ``constraint_violated`` is only
     meaningful when the caller supplied a threshold.
     """
 
-    max_exponent: Fraction | None
     witness: Occurrence | None
     constraint_violated: bool = False
+
+    @property
+    def max_exponent(self) -> Fraction | None:
+        return None if self.witness is None else self.witness.exponent
 
     def to_jsonable(self) -> dict:
         return {
@@ -233,9 +237,7 @@ def max_exponent(w: Word, min_period: int = 1) -> DetectionReport:
     occ = None
     for occ in _wins(w, min_period, 1, 1, len(w)):
         pass
-    if occ is None:
-        return DetectionReport(None, None)
-    return DetectionReport(occ.exponent, occ)
+    return DetectionReport(occ)
 
 
 def exists_repetition(w: Word, c: FreenessConstraint) -> Occurrence | None:
@@ -268,7 +270,7 @@ def detect(
         violated = report.max_exponent is not None and constraint.forbids(report.max_exponent)
     else:
         violated = exists_repetition(w, constraint) is not None
-    return DetectionReport(report.max_exponent, report.witness, violated)
+    return DetectionReport(report.witness, violated)
 
 
 def violations_ending_at(w: Word, c: FreenessConstraint, pos: int) -> Occurrence | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -233,26 +233,39 @@ def candidate_exponents(
     return sorted(found)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bracket:
-    """Empirical enclosure of the repetition threshold for (a, l), from the
-    walk up ``bracket_threshold``'s ladder: (r, GEQ) for each grid point r
-    ascending, then (2, STRICT).
+    """Empirical enclosure of the repetition threshold for (a, l): the
+    certificates of the walk up ``bracket_threshold``'s ladder, (r, GEQ) for
+    each grid point r ascending, then (2, STRICT).  Both ends are read from
+    the certificates, never stored beside them.
 
-    r_lo is certified: avoiding exponents >= r_lo is impossible (the highest
+    r_lo is certified: avoiding exponents >= r_lo is impossible (the last
     EXHAUSTED rung), hence the threshold is at least r_lo.  r_hi is
     heuristic: a long word avoiding exponents >= r_hi (or, with the
     strict-fallback flag, strictly above r_hi) was found at the first
-    REACHED rung, the last certificate.  Neither side claims the infimum is
-    attained.
+    REACHED rung, which ends the ladder; without one r_hi is None.  Neither
+    side claims the infimum is attained.
     """
 
     a: int
     l: int
-    r_lo: Fraction | None
-    r_hi: Fraction | None
-    r_hi_strict_fallback: bool
-    certificates: list[SearchCertificate] = field(default_factory=list)
+    certificates: list[SearchCertificate]
+
+    @property
+    def r_lo(self) -> Fraction | None:
+        exhausted = [c.constraint.threshold for c in self.certificates if c.outcome is Outcome.EXHAUSTED]
+        return exhausted[-1] if exhausted else None
+
+    @property
+    def r_hi(self) -> Fraction | None:
+        if self.certificates and self.certificates[-1].outcome is Outcome.REACHED:
+            return self.certificates[-1].constraint.threshold
+        return None
+
+    @property
+    def r_hi_strict_fallback(self) -> bool:
+        return self.r_hi is not None and self.certificates[-1].constraint.mode is Mode.STRICT
 
     @property
     def c_hat(self) -> Fraction | None:
@@ -285,16 +298,19 @@ class Bracket:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "Bracket":
-        return cls(
-            a=doc["a"],
-            l=doc["l"],
-            r_lo=fraction_from_json(doc["r_lo"]),
-            r_hi=fraction_from_json(doc["r_hi"]),
-            r_hi_strict_fallback=doc["r_hi_strict_fallback"],
-            certificates=[
-                SearchCertificate.from_jsonable(c) for c in doc["certificates"]
-            ],
-        )
+        """Rebuild from a, l and the certificates; ValueError when a
+        certificate is of another cell or a stored end disagrees with the
+        one the certificates give."""
+        stored = (fraction_from_json(doc["r_lo"]), fraction_from_json(doc["r_hi"]),
+                  doc["r_hi_strict_fallback"], doc["c_hat"])
+        bracket = cls(doc["a"], doc["l"], [SearchCertificate.from_jsonable(c) for c in doc["certificates"]])
+        if any((c.alphabet_size, c.constraint.min_period) != (bracket.a, bracket.l) for c in bracket.certificates):
+            raise ValueError(f"the bracket for a={bracket.a} l={bracket.l} holds a certificate of another (a, l)")
+        derived = (bracket.r_lo, bracket.r_hi, bracket.r_hi_strict_fallback, bracket.to_jsonable()["c_hat"])
+        if stored != derived:
+            raise ValueError(f"stored (r_lo, r_hi, r_hi_strict_fallback, c_hat) = {stored} "
+                             f"disagree with the certificates' {derived}")
+        return bracket
 
 
 def bracket_threshold(
@@ -324,24 +340,12 @@ def bracket_threshold(
     grid = candidate_exponents(max_denominator, Fraction(1), Fraction(2))
     ladder = [(r, Mode.GEQ) for r in grid] + [(grid[-1], Mode.STRICT)]
     certs: list[SearchCertificate] = []
-    r_lo: Fraction | None = None
-    r_hi: Fraction | None = None
     for r, mode in ladder:
-        cert = extend_search(
-            alphabet_size,
-            FreenessConstraint(min_period, r, mode),
-            target_length,
-            node_budget=node_budget,
-        )
-        certs.append(cert)
-        if cert.outcome is Outcome.EXHAUSTED:
-            r_lo = r
-        elif cert.outcome is Outcome.REACHED:
-            r_hi = r
+        c = FreenessConstraint(min_period, r, mode)
+        certs.append(extend_search(alphabet_size, c, target_length, node_budget=node_budget))
+        if certs[-1].outcome is Outcome.REACHED:
             break
-    return Bracket(
-        alphabet_size, min_period, r_lo, r_hi, r_hi is not None and mode is Mode.STRICT, certs
-    )
+    return Bracket(alphabet_size, min_period, certs)
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,14 @@ def fraction_json(f: Fraction | None) -> dict | None:
 
 
 def fraction_from_json(d: dict | None) -> Fraction | None:
-    """Inverse of fraction_json."""
+    """Inverse of fraction_json; ValueError unless num is an int and den a
+    positive int (a bool is neither)."""
     if d is None:
         return None
-    return Fraction(d["num"], d["den"])
+    num, den = d["num"], d["den"]
+    if type(num) is not int or type(den) is not int or den < 1:
+        raise ValueError(f"bad fraction {d!r}: need integer num and positive integer den")
+    return Fraction(num, den)
 
 
 def _digits(text: str) -> int:

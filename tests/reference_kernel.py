@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 from repthresh import (
-    Bracket,
     FreenessConstraint,
     Mode,
     Occurrence,
@@ -381,8 +381,10 @@ def ref_bracket_threshold(
     target_length: int | None = None,
     *,
     node_budget: int | None = 5_000_000,
-) -> Bracket:
-    """Sweep candidate exponents in (1, 2] ascending with mode GEQ.
+) -> SimpleNamespace:
+    """Sweep candidate exponents in (1, 2] ascending with mode GEQ, and
+    return the ends it tracks (r_lo, r_hi, r_hi_strict_fallback) with the
+    certificates.
 
     The largest EXHAUSTED candidate becomes r_lo, the smallest REACHED one
     r_hi; by monotonicity everything above the first REACHED is skipped.
@@ -428,7 +430,8 @@ def ref_bracket_threshold(
         if cert.outcome is Outcome.REACHED:
             r_hi = top
             strict_fallback = True
-    return Bracket(alphabet_size, min_period, r_lo, r_hi, strict_fallback, certs)
+    return SimpleNamespace(r_lo=r_lo, r_hi=r_hi, r_hi_strict_fallback=strict_fallback,
+                           certificates=certs)
 
 
 _REF_DIGIT_VALUE = {c: v for v, c in enumerate("0123456789abcdefghijklmnopqrstuvwxyz")}

@@ -7,7 +7,10 @@ import pytest
 
 from repthresh import (
     Bracket,
+    FreenessConstraint,
     Occurrence,
+    Outcome,
+    SearchCertificate,
     Word,
     bound_report,
     build_mapped_word,
@@ -366,11 +369,15 @@ def test_weak_upper_bound():
 
 
 def test_bracket_c_hat():
-    # the empirical constant c_hat = (r_hi - 1) * a * l of a bracket
-    assert Bracket(2, 1, None, Fraction(2), False).c_hat == Fraction(2)
-    assert Bracket(3, 1, None, Fraction(9, 5), False).c_hat == Fraction(12, 5)
+    # the empirical constant c_hat = (r_hi - 1) * a * l of a bracket, whose
+    # r_hi is the threshold of its last certificate when that is REACHED
+    def cert(a, r, outcome):
+        return SearchCertificate(a, FreenessConstraint(1, r), outcome, None, 0, None, True, 0.0)
+
+    assert Bracket(2, 1, [cert(2, Fraction(2), Outcome.REACHED)]).c_hat == Fraction(2)
+    assert Bracket(3, 1, [cert(3, Fraction(9, 5), Outcome.REACHED)]).c_hat == Fraction(12, 5)
     # no REACHED rung: no upper end, so no constant
-    unbounded = Bracket(2, 1, None, None, False)
+    unbounded = Bracket(2, 1, [cert(2, Fraction(2), Outcome.BUDGET_EXCEEDED)])
     assert unbounded.c_hat is None
     assert unbounded.summary_line().endswith("r_hi=- c_hat=-")
 

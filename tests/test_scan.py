@@ -163,7 +163,7 @@ def test_all_letters_distinct_give_none(monkeypatch):
     for alphabet, n in ((256, 1), (256, 2), (256, 256), (300, 300), (2**33, 50)):
         w = _planted(alphabet, n, [])
         for l in (1, 4):
-            assert max_exponent(w, l) == DetectionReport(None, None)
+            assert max_exponent(w, l) == DetectionReport(None)
         _check_scanners(monkeypatch, w, (1, 4), (Fraction(11, 10), Fraction(2)))
 
 

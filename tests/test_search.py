@@ -597,10 +597,41 @@ def test_bracket_json_roundtrip():
 
 
 def test_bracket_json_reencodes_byte_identically():
-    doc = bracket_threshold(2, 3, max_denominator=4, target_length=60).to_jsonable()
-    text = json.dumps(doc, sort_keys=True)
-    back = Bracket.from_jsonable(json.loads(text))
-    assert json.dumps(back.to_jsonable(), sort_keys=True) == text
+    # cells with a strict fallback, with a REACHED rung at once, and with
+    # BUDGET_EXCEEDED rungs and no upper end; elapsed_ms need not give back
+    # the same float of seconds, so the read-back bracket is compared with
+    # elapsed zeroed
+    def untimed(b):
+        return Bracket(b.a, b.l, [dataclasses.replace(c, elapsed=0.0) for c in b.certificates])
+
+    for a, l, budget in [(2, 1, None), (2, 3, None), (3, 1, None), (4, 2, None), (3, 1, 5), (2, 2, 50)]:
+        bracket = bracket_threshold(a, l, max_denominator=4, target_length=60, node_budget=budget)
+        text = json.dumps(bracket.to_jsonable(), sort_keys=True)
+        back = Bracket.from_jsonable(json.loads(text))
+        assert untimed(back) == untimed(bracket), (a, l, budget)
+        assert json.dumps(back.to_jsonable(), sort_keys=True) == text, (a, l, budget)
+
+
+def test_bracket_reader_rejects_ends_that_disagree_with_the_certificates():
+    doc = bracket_threshold(3, 1).to_jsonable()
+    assert Bracket.from_jsonable(doc).summary_line() == "a=3 l=1 r_lo=7/4 r_hi=9/5 c_hat=2.4"
+    # the same end in an unreduced encoding still agrees
+    assert Bracket.from_jsonable({**doc, "r_lo": {"num": 14, "den": 8}}).r_lo == Fraction(7, 4)
+    swapped = [bracket_threshold(3, 2).to_jsonable()["certificates"][0]] + doc["certificates"][1:]
+    disagree, other_cell = "disagree with the certificates", "a certificate of another"
+    edited = [
+        ({**doc, "r_lo": {"num": 2, "den": 1}}, disagree),
+        ({**doc, "r_hi": {"num": 2, "den": 1}}, disagree),
+        ({**doc, "r_hi_strict_fallback": True}, disagree),
+        ({**doc, "c_hat": 3.0}, disagree),
+        ({**doc, "certificates": swapped}, other_cell),
+        # r_lo and the strict flag edited and a (3, 2) certificate swapped
+        # in: every certificate still verifies, but the file is no bracket
+        ({**doc, "r_lo": {"num": 2, "den": 1}, "r_hi_strict_fallback": True, "certificates": swapped}, other_cell),
+    ]
+    for bad, message in edited:
+        with pytest.raises(ValueError, match=message):
+            Bracket.from_jsonable(json.loads(json.dumps(bad)))
 
 
 def test_bracket_summary_line():

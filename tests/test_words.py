@@ -355,6 +355,16 @@ def test_fraction_json_roundtrip():
     assert fraction_from_json({"num": 6, "den": 4}) == Fraction(3, 2)
 
 
+def test_fraction_from_json_rejects_malformed_fractions():
+    # a zero or negative den, and a num or den that is not an int (a bool
+    # is not one either): a reader must not turn these into a rational or
+    # into an error other than ValueError
+    for doc in ({"num": 1, "den": 0}, {"num": 3, "den": -2}, {"num": 1.5, "den": 2},
+                {"num": "3", "den": 2}, {"num": True, "den": 1}):
+        with pytest.raises(ValueError, match="bad fraction"):
+            fraction_from_json(doc)
+
+
 def test_package_reexports_every_module_all():
     # each module's __all__ is the one declaration of its public names;
     # repthresh.detect is the function, so the module comes from sys.modules
