@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .construct import (
-    bound_report,
+    BoundReport,
     build_mapped_word,
     colorize,
     pigeonhole_witness,
@@ -244,9 +244,7 @@ def _sample(args) -> _Result:
 
 
 def _bounds(args) -> _Result:
-    report = bound_report(
-        args.alphabet, args.min_period, args.weak_log_base, args.precision
-    )
+    report = BoundReport(args.alphabet, args.min_period, args.weak_log_base, args.precision)
     text = _json_text(report.to_jsonable())
     return _Result({"bounds.json": text}, text)
 

@@ -40,7 +40,6 @@ __all__ = [
     "fov_upper_main_term",
     "weak_upper_bound",
     "BoundReport",
-    "bound_report",
 ]
 
 
@@ -243,64 +242,53 @@ def _round_sig(x: float, digits: int) -> float:
 @dataclass(frozen=True)
 class BoundReport:
     """Every closed-form bound for one (a, l), exact fields as rationals and
-    decimal estimates tagged with their precision."""
+    decimal estimates tagged with their precision.  Only the inputs are
+    stored; each bound is evaluated from them.
+
+    weak_log_base must lie strictly between 1 and a when given; when absent
+    the weak logarithmic estimate is omitted from the report.
+    """
 
     a: int
     l: int
-    simple_lower: Fraction
-    fov_lower: Fraction
-    growth_lambda: float
-    fov_upper_main_term: float
-    fov_upper_degenerate: bool
-    weak_log_base: float | None
-    weak_upper: float | None
-    sig_digits: int
+    weak_log_base: float | None = None
+    sig_digits: int = 12
+
+    def __post_init__(self) -> None:
+        _check_al(self.a, self.l)
+        if self.weak_log_base is not None and not 1 < self.weak_log_base < self.a:
+            raise ValueError(
+                f"weak_log_base must be in (1, {self.a}), got {self.weak_log_base}"
+            )
+        if self.sig_digits < 1:
+            raise ValueError(f"need at least 1 significant digit, got {self.sig_digits}")
+
+    @property
+    def simple_lower(self) -> Fraction:
+        return simple_lower_bound(self.a, self.l)
+
+    @property
+    def fov_lower(self) -> Fraction:
+        return fov_lower_bound(self.a, self.l)
+
+    @property
+    def weak_upper(self) -> float | None:
+        if self.weak_log_base is None:
+            return None
+        return weak_upper_bound(self.weak_log_base, self.l, self.sig_digits)
 
     def to_jsonable(self) -> dict:
+        main, degenerate = fov_upper_main_term(self.a, self.l, self.sig_digits)
         return {
             "a": self.a,
             "l": self.l,
             "simple_lower": fraction_json(self.simple_lower),
             "fov_lower": fraction_json(self.fov_lower),
-            "lambda": self.growth_lambda,
-            "fov_upper_main_term": self.fov_upper_main_term,
-            "fov_upper_degenerate": self.fov_upper_degenerate,
+            "lambda": _round_sig(growth_lambda(self.a), self.sig_digits),
+            "fov_upper_main_term": main,
+            "fov_upper_degenerate": degenerate,
             "fov_upper_omits_correction": True,
             "weak_log_base": self.weak_log_base,
             "weak_upper": self.weak_upper,
             "precision_sig_digits": self.sig_digits,
         }
-
-
-def bound_report(
-    a: int,
-    l: int,
-    weak_log_base: float | None = None,
-    sig_digits: int = 12,
-) -> BoundReport:
-    """Evaluate all bound formulas for (a, l).
-
-    weak_log_base must lie strictly between 1 and a when given; when absent
-    the weak logarithmic estimate is omitted from the report.
-    """
-    _check_al(a, l)
-    weak = None
-    if weak_log_base is not None:
-        if not 1 < weak_log_base < a:
-            raise ValueError(
-                f"weak_log_base must be in (1, {a}), got {weak_log_base}"
-            )
-        weak = weak_upper_bound(weak_log_base, l, sig_digits)
-    main, degenerate = fov_upper_main_term(a, l, sig_digits)
-    return BoundReport(
-        a=a,
-        l=l,
-        simple_lower=simple_lower_bound(a, l),
-        fov_lower=fov_lower_bound(a, l),
-        growth_lambda=_round_sig(growth_lambda(a), sig_digits),
-        fov_upper_main_term=main,
-        fov_upper_degenerate=degenerate,
-        weak_log_base=weak_log_base,
-        weak_upper=weak,
-        sig_digits=sig_digits,
-    )

@@ -43,6 +43,7 @@ violating period needs a run at least as long, so none is missed.  An
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cache
@@ -126,6 +127,8 @@ class SamplerConfig:
     target_length: int
 
     def __post_init__(self) -> None:
+        for name in ("seed", "max_resamples", "target_length"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         # SplitMix64 reduces its seed mod 2**64; a seed outside that range
         # would be recorded as given but run the stream of another.
         if not 0 <= self.seed <= _MASK64:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .detect import ViolationKernel, _naive_wins, naive_oracle
 from .words import (
@@ -61,6 +62,12 @@ class SearchCertificate:
     max_depth is the longest satisfying length encountered.  REACHED: the
     witness has the requested target length and satisfies the constraint.
     BUDGET_EXCEEDED: the node budget ran out first; claims nothing.
+
+    A malformed certificate raises ValueError when it is built: an
+    alphabet below 1, a negative nodes_visited or max_depth, a REACHED one
+    without a non-empty witness over its own alphabet, or an EXHAUSTED one
+    without a max_depth; a count or depth that is not an integer raises
+    TypeError.  ``outcome`` may be given as its value.
     """
 
     alphabet_size: int
@@ -71,6 +78,30 @@ class SearchCertificate:
     witness: Word | None
     symmetry_reduced: bool
     elapsed: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outcome", Outcome(self.outcome))
+        # a depth of 3.5 would walk the re-proof below 0 to the recursion limit
+        for name in ("alphabet_size", "nodes_visited", "max_depth"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, index(getattr(self, name)))
+        if self.alphabet_size < 1:
+            raise ValueError(f"alphabet size {self.alphabet_size} below 1")
+        if self.nodes_visited < 0:
+            raise ValueError(f"negative nodes_visited {self.nodes_visited}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"negative max_depth {self.max_depth}")
+        if self.outcome is Outcome.REACHED:
+            if self.witness is None:
+                raise ValueError("REACHED without witness")
+            if len(self.witness) < 1:
+                raise ValueError("empty witness")
+            if self.witness.alphabet != self.alphabet_size:
+                raise ValueError(
+                    f"witness over {self.witness.alphabet} letters, certificate over {self.alphabet_size}"
+                )
+        elif self.outcome is Outcome.EXHAUSTED and self.max_depth is None:
+            raise ValueError("EXHAUSTED without max_depth")
 
     def to_jsonable(self) -> dict:
         doc: dict = {
@@ -91,25 +122,23 @@ class SearchCertificate:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "SearchCertificate":
-        alphabet = doc["alphabet"]
-        constraint = FreenessConstraint(
-            doc["min_period"],
-            fraction_from_json(doc["threshold"]),
-            Mode(doc["mode"]),
-        )
-        witness = None
-        if doc.get("witness") is not None:
-            witness = parse_word(doc["witness"], alphabet)
-        return cls(
-            alphabet_size=alphabet,
-            constraint=constraint,
-            outcome=Outcome(doc["outcome"]),
-            max_depth=doc.get("max_depth"),
-            nodes_visited=doc["nodes_visited"],
-            witness=witness,
-            symmetry_reduced=doc["symmetry_reduced"],
-            elapsed=doc["elapsed_ms"] / 1000.0,
-        )
+        """Inverse of to_jsonable; ValueError on any malformed document."""
+        try:
+            witness = doc.get("witness")
+            return cls(
+                alphabet_size=doc["alphabet"],
+                constraint=FreenessConstraint(
+                    doc["min_period"], fraction_from_json(doc["threshold"]), doc["mode"]
+                ),
+                outcome=doc["outcome"],
+                max_depth=doc.get("max_depth"),
+                nodes_visited=doc["nodes_visited"],
+                witness=None if witness is None else parse_word(witness, doc["alphabet"]),
+                symmetry_reduced=doc["symmetry_reduced"],
+                elapsed=doc["elapsed_ms"] / 1000.0,
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed certificate document: {exc!r}") from None
 
 
 def default_target_length(alphabet_size: int, min_period: int) -> int:
@@ -245,12 +274,17 @@ class Bracket:
     heuristic: a long word avoiding exponents >= r_hi (or, with the
     strict-fallback flag, strictly above r_hi) was found at the first
     REACHED rung, which ends the ladder; without one r_hi is None.  Neither
-    side claims the infimum is attained.
+    side claims the infimum is attained.  A certificate of another (a, l)
+    raises ValueError.
     """
 
     a: int
     l: int
     certificates: list[SearchCertificate]
+
+    def __post_init__(self) -> None:
+        if any((c.alphabet_size, c.constraint.min_period) != (self.a, self.l) for c in self.certificates):
+            raise ValueError(f"the bracket for a={self.a} l={self.l} holds a certificate of another (a, l)")
 
     @property
     def r_lo(self) -> Fraction | None:
@@ -298,14 +332,15 @@ class Bracket:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "Bracket":
-        """Rebuild from a, l and the certificates; ValueError when a
-        certificate is of another cell or a stored end disagrees with the
-        one the certificates give."""
-        stored = (fraction_from_json(doc["r_lo"]), fraction_from_json(doc["r_hi"]),
-                  doc["r_hi_strict_fallback"], doc["c_hat"])
-        bracket = cls(doc["a"], doc["l"], [SearchCertificate.from_jsonable(c) for c in doc["certificates"]])
-        if any((c.alphabet_size, c.constraint.min_period) != (bracket.a, bracket.l) for c in bracket.certificates):
-            raise ValueError(f"the bracket for a={bracket.a} l={bracket.l} holds a certificate of another (a, l)")
+        """Rebuild from a, l and the certificates; ValueError on any
+        malformed document, and when a stored end disagrees with the one
+        the certificates give."""
+        try:
+            stored = (fraction_from_json(doc["r_lo"]), fraction_from_json(doc["r_hi"]),
+                      doc["r_hi_strict_fallback"], doc["c_hat"])
+            bracket = cls(doc["a"], doc["l"], [SearchCertificate.from_jsonable(c) for c in doc["certificates"]])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed bracket document: {exc!r}") from None
         derived = (bracket.r_lo, bracket.r_hi, bracket.r_hi_strict_fallback, bracket.to_jsonable()["c_hat"])
         if stored != derived:
             raise ValueError(f"stored (r_lo, r_hi, r_hi_strict_fallback, c_hat) = {stored} "
@@ -388,9 +423,8 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     the naive oracle's own scan (``detect._naive_wins``) on the
     bare letter tuple, read only up to its first forbidden run: the
     re-proof asks whether a word violates, not how badly.  A ``Word`` is
-    built only to render a counterexample.  A malformed certificate
-    (an alphabet below 1, a negative max_depth or nodes_visited, a witness
-    over another alphabet) is rejected.
+    built only to render a counterexample.  A malformed certificate never
+    gets here: ``SearchCertificate`` refuses one when it is built.
 
     The canonical words suffice because the oracle compares letters only
     for equality, so a word and its canonical relabelling get the same
@@ -408,23 +442,7 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
     (at max_depth 0 the empty prefix is clean), and its children are
     scanned in ascending order.
     """
-    if cert.alphabet_size < 1:
-        return VerificationResult(False, True, f"alphabet size {cert.alphabet_size} below 1")
-    if cert.nodes_visited < 0:
-        return VerificationResult(False, True, f"negative nodes_visited {cert.nodes_visited}")
-    if cert.max_depth is not None and cert.max_depth < 0:
-        return VerificationResult(False, True, f"negative max_depth {cert.max_depth}")
     if cert.outcome is Outcome.REACHED:
-        if cert.witness is None:
-            return VerificationResult(False, True, "REACHED without witness")
-        if len(cert.witness) < 1:
-            return VerificationResult(False, True, "empty witness")
-        if cert.witness.alphabet != cert.alphabet_size:
-            return VerificationResult(
-                False,
-                True,
-                f"witness over {cert.witness.alphabet} letters, certificate over {cert.alphabet_size}",
-            )
         occ = naive_oracle(cert.witness, cert.constraint)
         if occ is not None:
             return VerificationResult(
@@ -435,8 +453,6 @@ def verify_certificate(cert: SearchCertificate) -> VerificationResult:
         return VerificationResult(True, True, "witness oracle-clean")
     if cert.outcome is Outcome.BUDGET_EXCEEDED:
         return VerificationResult(True, False, "budget outcome claims nothing")
-    if cert.max_depth is None:
-        return VerificationResult(False, True, "EXHAUSTED without max_depth")
     depth = cert.max_depth
     if depth > _REVERIFY_MAX_DEPTH or cert.alphabet_size > _REVERIFY_MAX_ALPHABET:
         return VerificationResult(True, False, "not independently re-verified")

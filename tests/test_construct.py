@@ -12,7 +12,7 @@ from repthresh import (
     Outcome,
     SearchCertificate,
     Word,
-    bound_report,
+    BoundReport,
     build_mapped_word,
     colorize,
     exists_repetition,
@@ -372,7 +372,8 @@ def test_bracket_c_hat():
     # the empirical constant c_hat = (r_hi - 1) * a * l of a bracket, whose
     # r_hi is the threshold of its last certificate when that is REACHED
     def cert(a, r, outcome):
-        return SearchCertificate(a, FreenessConstraint(1, r), outcome, None, 0, None, True, 0.0)
+        witness = Word(a, (0,)) if outcome is Outcome.REACHED else None
+        return SearchCertificate(a, FreenessConstraint(1, r), outcome, None, 0, witness, True, 0.0)
 
     assert Bracket(2, 1, [cert(2, Fraction(2), Outcome.REACHED)]).c_hat == Fraction(2)
     assert Bracket(3, 1, [cert(3, Fraction(9, 5), Outcome.REACHED)]).c_hat == Fraction(12, 5)
@@ -383,14 +384,14 @@ def test_bracket_c_hat():
 
 
 def test_bound_report():
-    report = bound_report(2, 2)
+    report = BoundReport(2, 2)
     assert report.simple_lower == Fraction(5, 4)
     assert report.fov_lower == Fraction(4, 3)
     doc = report.to_jsonable()
     assert doc["simple_lower"] == {"num": 5, "den": 4}
     assert doc["fov_upper_omits_correction"] is True
     assert doc["weak_upper"] is None
-    report = bound_report(5, 16, weak_log_base=4.0)
+    report = BoundReport(5, 16, weak_log_base=4.0)
     assert report.weak_upper == 1.125
     with pytest.raises(ValueError, match="weak_log_base"):
-        bound_report(2, 4, weak_log_base=2.5)
+        BoundReport(2, 4, weak_log_base=2.5)

@@ -199,6 +199,13 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             SamplerConfig(seed, 10, 5)
+    # each field is stored as an int: a bool as 0 or 1, and a float, which
+    # names no stream and no length, is refused
+    config = SamplerConfig(True, 100, 20)
+    assert type(config.seed) is int and config.seed == 1
+    for args in [(1.5, 10, 5), (0, 10, 2.5)]:
+        with pytest.raises(TypeError):
+            SamplerConfig(*args)
 
 
 def test_report_json_shape():

@@ -222,8 +222,8 @@ def test_verify_tampered_witness():
     assert not res.ok
     assert "violates" in res.detail
     for witness, detail in [(None, "without witness"), (Word(3, ()), "empty witness")]:
-        res = verify_certificate(dataclasses.replace(bad, witness=witness))
-        assert not res and detail in res.detail
+        with pytest.raises(ValueError, match=detail):
+            dataclasses.replace(bad, witness=witness)
 
 
 def test_verify_exhausted_by_reenumeration():
@@ -364,23 +364,21 @@ def test_verify_exhausted_catches_overstated_depth():
 
 
 def test_verify_rejects_negative_depth():
+    cert = SearchCertificate(
+        alphabet_size=2,
+        constraint=geq(1, 2),
+        outcome=Outcome.EXHAUSTED,
+        max_depth=3,
+        nodes_visited=1,
+        witness=None,
+        symmetry_reduced=True,
+        elapsed=0.0,
+    )
     for depth in (-1, -3):
-        cert = SearchCertificate(
-            alphabet_size=2,
-            constraint=geq(1, 2),
-            outcome=Outcome.EXHAUSTED,
-            max_depth=depth,
-            nodes_visited=1,
-            witness=None,
-            symmetry_reduced=True,
-            elapsed=0.0,
-        )
-        res = verify_certificate(cert)
-        assert not res.ok
-        assert "negative max_depth" in res.detail
-    res = verify_certificate(dataclasses.replace(cert, max_depth=None))
-    assert not res.ok
-    assert "EXHAUSTED without max_depth" in res.detail
+        with pytest.raises(ValueError, match="negative max_depth"):
+            dataclasses.replace(cert, max_depth=depth)
+    with pytest.raises(ValueError, match="EXHAUSTED without max_depth"):
+        dataclasses.replace(cert, max_depth=None)
 
 
 def test_verify_rejects_negative_nodes_visited():
@@ -391,34 +389,29 @@ def test_verify_rejects_negative_nodes_visited():
     ]:
         assert verify_certificate(cert).ok
         for nodes in (-1, -5):
-            res = verify_certificate(dataclasses.replace(cert, nodes_visited=nodes))
-            assert not res.ok
-            assert f"negative nodes_visited {nodes}" in res.detail
+            with pytest.raises(ValueError, match=f"negative nodes_visited {nodes}"):
+                dataclasses.replace(cert, nodes_visited=nodes)
         for depth in (-1, -5):
-            res = verify_certificate(dataclasses.replace(cert, max_depth=depth))
-            assert not res.ok
-            assert f"negative max_depth {depth}" in res.detail
+            with pytest.raises(ValueError, match=f"negative max_depth {depth}"):
+                dataclasses.replace(cert, max_depth=depth)
         for a in (0, -3):
             for bad in (cert, dataclasses.replace(cert, max_depth=0)):
-                res = verify_certificate(dataclasses.replace(bad, alphabet_size=a))
-                assert not res.ok
-                assert f"alphabet size {a} below 1" in res.detail
+                with pytest.raises(ValueError, match=f"alphabet size {a} below 1"):
+                    dataclasses.replace(bad, alphabet_size=a)
 
 
 def test_verify_rejects_witness_over_another_alphabet():
-    cert = SearchCertificate(
-        alphabet_size=2,
-        constraint=geq(1, 2),
-        outcome=Outcome.REACHED,
-        max_depth=None,
-        nodes_visited=3,
-        witness=Word(3, (0, 1, 2)),  # square-free, but letter 2 is not binary
-        symmetry_reduced=True,
-        elapsed=0.0,
-    )
-    res = verify_certificate(cert)
-    assert not res.ok
-    assert "witness over 3 letters" in res.detail
+    with pytest.raises(ValueError, match="witness over 3 letters"):
+        SearchCertificate(
+            alphabet_size=2,
+            constraint=geq(1, 2),
+            outcome=Outcome.REACHED,
+            max_depth=None,
+            nodes_visited=3,
+            witness=Word(3, (0, 1, 2)),  # square-free, but letter 2 is not binary
+            symmetry_reduced=True,
+            elapsed=0.0,
+        )
 
 
 def test_verify_large_exhausted_is_flagged():
@@ -548,6 +541,8 @@ def test_certificate_json_roundtrip():
         assert back.witness == cert.witness
         assert back.constraint == cert.constraint
         assert back.nodes_visited == cert.nodes_visited
+        with pytest.raises(ValueError, match="negative nodes_visited -5"):
+            SearchCertificate.from_jsonable({**doc, "nodes_visited": -5})
 
 
 # --- bracket ---------------------------------------------------------------------
@@ -619,6 +614,13 @@ def test_bracket_reader_rejects_ends_that_disagree_with_the_certificates():
     assert Bracket.from_jsonable({**doc, "r_lo": {"num": 14, "den": 8}}).r_lo == Fraction(7, 4)
     swapped = [bracket_threshold(3, 2).to_jsonable()["certificates"][0]] + doc["certificates"][1:]
     disagree, other_cell = "disagree with the certificates", "a certificate of another"
+
+    def edit(i, **change):
+        """The document with certificate i's keys changed; None deletes a key."""
+        certs = list(doc["certificates"])
+        certs[i] = {k: v for k, v in {**certs[i], **change}.items() if v is not None}
+        return {**doc, "certificates": certs}
+
     edited = [
         ({**doc, "r_lo": {"num": 2, "den": 1}}, disagree),
         ({**doc, "r_hi": {"num": 2, "den": 1}}, disagree),
@@ -628,6 +630,18 @@ def test_bracket_reader_rejects_ends_that_disagree_with_the_certificates():
         # r_lo and the strict flag edited and a (3, 2) certificate swapped
         # in: every certificate still verifies, but the file is no bracket
         ({**doc, "r_lo": {"num": 2, "den": 1}, "r_hi_strict_fallback": True, "certificates": swapped}, other_cell),
+        # a document of the wrong shape is refused with ValueError too
+        ({**doc, "r_lo": "7/4"}, "malformed bracket"),
+        ({**doc, "r_lo": {"num": 7}}, "malformed bracket"),
+        ({k: v for k, v in doc.items() if k != "c_hat"}, "malformed bracket"),
+        ({**doc, "certificates": None}, "malformed bracket"),
+        (edit(0, outcome=None), "malformed certificate"),
+        (edit(0, max_depth="7"), "malformed certificate"),
+        (edit(0, max_depth=3.5), "malformed certificate"),
+        (edit(0, nodes_visited=-5), "negative nodes_visited -5"),
+        (edit(0, max_depth=-3), "negative max_depth -3"),
+        (edit(-1, witness=None), "REACHED without witness"),
+        (edit(-1, witness=5), "malformed certificate"),
     ]
     for bad, message in edited:
         with pytest.raises(ValueError, match=message):
