@@ -206,8 +206,7 @@ def _search(args) -> _Result:
     constraint = _constraint(args)
     if args.max_length is None:
         args.max_length = default_target_length(args.alphabet, args.min_period)
-    cert = extend_search(args.alphabet, constraint, args.max_length,
-                         symmetry=args.symmetry, node_budget=args.node_budget)
+    cert = extend_search(args.alphabet, constraint, args.max_length, node_budget=args.node_budget)
     text = _json_text(cert.to_jsonable())
     return _Result({"certificate.json": text}, text)
 
@@ -314,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[al, mode, out], help="backtrack for an avoiding word")
     p.add_argument("--threshold", required=True)
     p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--no-symmetry", dest="symmetry", action="store_false")
     p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(compute=_search)
 

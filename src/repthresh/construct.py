@@ -246,7 +246,9 @@ class BoundReport:
     stored; each bound is evaluated from them.
 
     weak_log_base must lie strictly between 1 and a when given; when absent
-    the weak logarithmic estimate is omitted from the report.
+    the weak logarithmic estimate is omitted from the report.  a, l and
+    sig_digits are stored as ``operator.index`` of the values given, so a
+    value that is not an integer raises TypeError.
     """
 
     a: int
@@ -255,6 +257,8 @@ class BoundReport:
     sig_digits: int = 12
 
     def __post_init__(self) -> None:
+        for name in ("a", "l", "sig_digits"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         _check_al(self.a, self.l)
         if self.weak_log_base is not None and not 1 < self.weak_log_base < self.a:
             raise ValueError(

@@ -14,7 +14,7 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from operator import index
 
 from .detect import ViolationKernel, _naive_wins, naive_oracle
@@ -63,11 +63,17 @@ class SearchCertificate:
     witness has the requested target length and satisfies the constraint.
     BUDGET_EXCEEDED: the node budget ran out first; claims nothing.
 
+    nodes_visited counts the nodes of the canonical search tree, the only
+    one ``extend_search`` walks, so version 1 of the JSON form always
+    writes ``"symmetry_reduced": true``, and the reader refuses any other
+    value or a missing key.
+
     A malformed certificate raises ValueError when it is built: an
     alphabet below 1, a negative nodes_visited or max_depth, a REACHED one
-    without a non-empty witness over its own alphabet, or an EXHAUSTED one
-    without a max_depth; a count or depth that is not an integer raises
-    TypeError.  ``outcome`` may be given as its value.
+    without a non-empty witness over its own alphabet, an EXHAUSTED one
+    without a max_depth, or an elapsed time that is not a finite int or
+    float of at least 0 (a bool is neither); a count or depth that is not
+    an integer raises TypeError.  ``outcome`` may be given as its value.
     """
 
     alphabet_size: int
@@ -76,7 +82,6 @@ class SearchCertificate:
     max_depth: int | None
     nodes_visited: int
     witness: Word | None
-    symmetry_reduced: bool
     elapsed: float
 
     def __post_init__(self) -> None:
@@ -102,6 +107,8 @@ class SearchCertificate:
                 )
         elif self.outcome is Outcome.EXHAUSTED and self.max_depth is None:
             raise ValueError("EXHAUSTED without max_depth")
+        if type(self.elapsed) not in (int, float) or not 0 <= self.elapsed < inf:
+            raise ValueError(f"elapsed {self.elapsed!r} is not a finite time of at least 0")
 
     def to_jsonable(self) -> dict:
         doc: dict = {
@@ -111,7 +118,7 @@ class SearchCertificate:
             "mode": self.constraint.mode.value,
             "outcome": self.outcome.value,
             "nodes_visited": self.nodes_visited,
-            "symmetry_reduced": self.symmetry_reduced,
+            "symmetry_reduced": True,
             "elapsed_ms": self.elapsed * 1000.0,
         }
         if self.max_depth is not None:
@@ -122,9 +129,14 @@ class SearchCertificate:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "SearchCertificate":
-        """Inverse of to_jsonable; ValueError on any malformed document."""
+        """Inverse of to_jsonable; ValueError on any malformed document,
+        and on a ``symmetry_reduced`` that is not ``true``: the node count
+        of an unreduced search is of a tree this program does not walk."""
         try:
+            if doc["symmetry_reduced"] is not True:
+                raise ValueError(f"symmetry_reduced is {doc['symmetry_reduced']!r}, not true")
             witness = doc.get("witness")
+            ms = doc["elapsed_ms"]  # a bool is passed on to be refused, not read as 1 ms
             return cls(
                 alphabet_size=doc["alphabet"],
                 constraint=FreenessConstraint(
@@ -134,8 +146,7 @@ class SearchCertificate:
                 max_depth=doc.get("max_depth"),
                 nodes_visited=doc["nodes_visited"],
                 witness=None if witness is None else parse_word(witness, doc["alphabet"]),
-                symmetry_reduced=doc["symmetry_reduced"],
-                elapsed=doc["elapsed_ms"] / 1000.0,
+                elapsed=ms if isinstance(ms, bool) else ms / 1000.0,
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed certificate document: {exc!r}") from None
@@ -151,17 +162,21 @@ def extend_search(
     constraint: FreenessConstraint,
     target_length: int,
     *,
-    symmetry: bool = True,
     node_budget: int | None = None,
 ) -> SearchCertificate:
     """Depth-first search for a word of target_length satisfying the
     constraint.
 
-    Letters are tried in ascending order.  With `symmetry` on, only
-    canonical words are explored: a letter never seen before may only be
-    introduced if it is the smallest unused one, which prunes the tree by up
-    to alphabet_size! without changing the outcome (letter permutations
-    preserve the constraint).
+    Letters are tried in ascending order, and only canonical words are
+    explored: a letter not yet in the prefix is tried only if it is the
+    smallest unused one.  That is exact.  A power x^r is defined by which
+    letters are equal, so relabelling a word's letters keeps its powers,
+    and every word has exactly one canonical relabelling.  So a clean word
+    of some length exists exactly when a canonical one does, and a
+    canonical tree that dies at finite depth proves by Koenig's lemma that
+    no infinite word avoids the constraint.  The pruning removes up to
+    alphabet_size! words per canonical one, and depth d never tries a
+    letter above d, so a huge alphabet makes no larger tree.
 
     nodes_visited counts attempted letter placements; with a node_budget the
     outcome BUDGET_EXCEEDED reports the deepest satisfying prefix found.
@@ -185,16 +200,13 @@ def extend_search(
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
 
     a = alphabet_size
-    # A letter absent from the prefix ends no repetition, and one of 0..d
-    # is, so depth d never needs to try a letter above d.
-    n = min(a, target_length)
     kernel = ViolationKernel(constraint, a, [0] * target_length)
     first_period = kernel.first_period
     seq = kernel.seq
-    # Depth d tries the letters 0..top[d]-1: with symmetry, the letters of
-    # the prefix and the smallest unused one.
+    # Depth d tries the letters 0..top[d]-1: the letters of the prefix and
+    # the smallest unused one.
     top = [0] * target_length
-    top[0] = 1 if symmetry else n
+    top[0] = 1
     depth = 0
     letter = 0  # the next letter to try at depth
     sat_max = 0
@@ -209,7 +221,6 @@ def extend_search(
             max_depth=None if outcome is Outcome.REACHED else sat_max,
             nodes_visited=nodes,
             witness=witness,
-            symmetry_reduced=symmetry,
             elapsed=time.perf_counter() - t0,
         )
 
@@ -235,7 +246,7 @@ def extend_search(
         if depth == target_length:
             return make(Outcome.REACHED, Word(a, seq))
         # placing the smallest unused letter admits the next one
-        top[depth] = hi + 1 if letter + 1 == hi < n else hi
+        top[depth] = hi + 1 if letter + 1 == hi < a else hi
         letter = 0
 
 

@@ -373,7 +373,7 @@ def test_bracket_c_hat():
     # r_hi is the threshold of its last certificate when that is REACHED
     def cert(a, r, outcome):
         witness = Word(a, (0,)) if outcome is Outcome.REACHED else None
-        return SearchCertificate(a, FreenessConstraint(1, r), outcome, None, 0, witness, True, 0.0)
+        return SearchCertificate(a, FreenessConstraint(1, r), outcome, None, 0, witness, 0.0)
 
     assert Bracket(2, 1, [cert(2, Fraction(2), Outcome.REACHED)]).c_hat == Fraction(2)
     assert Bracket(3, 1, [cert(3, Fraction(9, 5), Outcome.REACHED)]).c_hat == Fraction(12, 5)
@@ -395,3 +395,8 @@ def test_bound_report():
     assert report.weak_upper == 1.125
     with pytest.raises(ValueError, match="weak_log_base"):
         BoundReport(2, 4, weak_log_base=2.5)
+    # a, l and sig_digits must be integers: a float would fail only later,
+    # in to_jsonable()
+    for args, kwargs in [((2.5, 2), {}), ((3, 2.0), {}), ((2, 2), {"sig_digits": 2.5})]:
+        with pytest.raises(TypeError):
+            BoundReport(*args, **kwargs)

@@ -21,6 +21,7 @@ from repthresh import (
     Word,
     candidate_exponents,
     extend_search,
+    naive_oracle,
     violations_ending_at,
 )
 from reference_kernel import ref_extend_search, ref_lowest_start, ref_violation_ending_at
@@ -46,15 +47,26 @@ def test_search_matches_reference_on_grid(a):
 
 
 def test_search_matches_reference_without_symmetry_and_shuffled():
-    # Without symmetry a letter order is only a relabelling: the kernel
-    # sees the same pattern of equal letters, so ascending order covers it.
+    # Without symmetry a letter order is only a relabelling: the reference
+    # tree in a shuffled order is the ascending one with its letters
+    # renamed, node for node.  The canonical search is the one in src.
+    rng = random.Random(20)
     for a in (2, 3, 4):
         for l in (1, 2, 3):
             for r in candidate_exponents(4, 1, 2):
                 for mode in (Mode.GEQ, Mode.STRICT):
                     c = FreenessConstraint(l, r, mode)
-                    got = extend_search(a, c, GRID_TARGET, symmetry=False, node_budget=GRID_BUDGET)
-                    ref = ref_extend_search(a, c, GRID_TARGET, symmetry=False, node_budget=GRID_BUDGET)
+                    order = rng.sample(range(a), a)
+                    outcome, depth, nodes, witness = ref_extend_search(
+                        a, c, GRID_TARGET, symmetry=False, node_budget=GRID_BUDGET
+                    )
+                    renamed = None if witness is None else Word(a, [order[x] for x in witness.letters])
+                    shuffled = ref_extend_search(
+                        a, c, GRID_TARGET, symmetry=False, letter_order=order, node_budget=GRID_BUDGET
+                    )
+                    assert shuffled == (outcome, depth, nodes, renamed), (a, l, str(r), mode, order)
+                    got = extend_search(a, c, GRID_TARGET, node_budget=GRID_BUDGET)
+                    ref = ref_extend_search(a, c, GRID_TARGET, node_budget=GRID_BUDGET)
                     assert cert_fields(got) == ref, (a, l, str(r), mode)
 
 
@@ -62,18 +74,20 @@ def test_search_matches_reference_large_alphabet():
     # Two-byte letters (byte collisions across letter boundaries are
     # covered by test_first_period_in_random_call_orders and
     # test_violations_ending_at_matches_reference); 41/40 forces 41
-    # distinct letters.
+    # distinct letters.  Each row also holds the canonical search to the
+    # outcome and depth of the reference's unreduced one.
     a = 300
     cases = [
-        (FreenessConstraint(1, Fraction(3, 2)), 200, {"symmetry": False}),
-        (FreenessConstraint(2, Fraction(7, 5), Mode.STRICT), 200, {"symmetry": False}),
-        (FreenessConstraint(1, Fraction(41, 40)), 120, {"symmetry": False}),
-        (FreenessConstraint(1, Fraction(41, 40)), 120, {}),
+        (FreenessConstraint(1, Fraction(3, 2)), 200),
+        (FreenessConstraint(2, Fraction(7, 5), Mode.STRICT), 200),
+        (FreenessConstraint(1, Fraction(41, 40)), 120),
     ]
-    for c, target, kw in cases:
-        got = extend_search(a, c, target, node_budget=20_000, **kw)
-        ref = ref_extend_search(a, c, target, node_budget=20_000, **kw)
-        assert cert_fields(got) == ref, (c, kw)
+    for c, target in cases:
+        got = extend_search(a, c, target, node_budget=20_000)
+        assert cert_fields(got) == ref_extend_search(a, c, target, node_budget=20_000), c
+        outcome, max_depth, _, witness = ref_extend_search(a, c, target, symmetry=False, node_budget=20_000)
+        assert (got.outcome.value, got.max_depth) == (outcome, max_depth), c
+        assert witness is None or naive_oracle(witness, c) is None
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import textwrap
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from repthresh import (
@@ -27,8 +29,9 @@ from repthresh import (
     verify_certificate,
 )
 from repthresh import search
+from repthresh.schemas import load_schema
 from repthresh.search import _REVERIFY_MAX_DEPTH, _canonical_words
-from reference_kernel import ref_bracket_threshold, ref_verify_certificate
+from reference_kernel import ref_bracket_threshold, ref_extend_search, ref_verify_certificate
 
 
 def geq(l, num, den=1):
@@ -83,23 +86,20 @@ def test_reached_monotone_in_threshold():
 
 def test_outcome_independent_of_order_and_symmetry():
     # full small-instance grid: every candidate threshold with denominator
-    # up to 5, both modes, symmetry on/off
+    # up to 5, both modes; the canonical search against the reference's
+    # unreduced one, which tries every letter at every depth.  The
+    # lexicographically first clean word is canonical, so even the
+    # witnesses agree.
     for a in (2, 3):
         for l in (1, 2, 3):
             for r in candidate_exponents(5, 1, 2):
                 for mode in (Mode.GEQ, Mode.STRICT):
                     c = FreenessConstraint(l, r, mode)
-                    runs = [
-                        extend_search(a, c, 30, symmetry=True),
-                        extend_search(a, c, 30, symmetry=False),
-                    ]
-                    outcomes = {x.outcome for x in runs}
-                    assert len(outcomes) == 1, (a, l, str(r), mode, outcomes)
-                    if runs[0].outcome is Outcome.EXHAUSTED:
-                        assert len({x.max_depth for x in runs}) == 1
-                    else:
-                        for x in runs:
-                            assert naive_oracle(x.witness, c) is None
+                    got = extend_search(a, c, 30)
+                    outcome, max_depth, _, witness = ref_extend_search(a, c, 30, symmetry=False)
+                    same = (got.outcome.value, got.max_depth, got.witness) == (outcome, max_depth, witness)
+                    assert same, (a, l, str(r), mode)
+                    assert witness is None or naive_oracle(witness, c) is None
 
 
 def test_node_budget():
@@ -135,20 +135,19 @@ def test_huge_alphabet_tries_only_the_first_letters():
     # a letter absent from the prefix is always clean, so no search over
     # target_length letters or more looks past the first target_length
     target = 40
-    for symmetry in (True, False):
-        for c in (geq(1, 2), strict(2, 3, 2)):
-            small = extend_search(target, c, target, symmetry=symmetry)
-            tracemalloc.start()
-            try:
-                huge = extend_search(10**6, c, target, symmetry=symmetry)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1_000_000
-            assert huge.outcome is small.outcome is Outcome.REACHED
-            assert huge.nodes_visited == small.nodes_visited
-            assert huge.witness.letters == small.witness.letters
-            assert huge.alphabet_size == 10**6
+    for c in (geq(1, 2), strict(2, 3, 2)):
+        small = extend_search(target, c, target)
+        tracemalloc.start()
+        try:
+            huge = extend_search(10**6, c, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert huge.outcome is small.outcome is Outcome.REACHED
+        assert huge.nodes_visited == small.nodes_visited
+        assert huge.witness.letters == small.witness.letters
+        assert huge.alphabet_size == 10**6
 
 
 def test_default_target_length():
@@ -214,7 +213,6 @@ def test_verify_tampered_witness():
         max_depth=None,
         nodes_visited=good.nodes_visited,
         witness=parse_word("01100212", 3),  # contains the square "11"
-        symmetry_reduced=True,
         elapsed=good.elapsed,
     )
     res = verify_certificate(bad)
@@ -338,7 +336,6 @@ def test_verify_exhausted_catches_understated_depth():
         max_depth=2,  # claims no square-free word of length 3; "010" is one
         nodes_visited=honest.nodes_visited,
         witness=None,
-        symmetry_reduced=True,
         elapsed=honest.elapsed,
     )
     res = verify_certificate(lying)
@@ -355,7 +352,6 @@ def test_verify_exhausted_catches_overstated_depth():
         max_depth=8,  # no square-free binary word of length 8 exists
         nodes_visited=honest.nodes_visited,
         witness=None,
-        symmetry_reduced=True,
         elapsed=honest.elapsed,
     )
     res = verify_certificate(lying)
@@ -371,7 +367,6 @@ def test_verify_rejects_negative_depth():
         max_depth=3,
         nodes_visited=1,
         witness=None,
-        symmetry_reduced=True,
         elapsed=0.0,
     )
     for depth in (-1, -3):
@@ -409,7 +404,6 @@ def test_verify_rejects_witness_over_another_alphabet():
             max_depth=None,
             nodes_visited=3,
             witness=Word(3, (0, 1, 2)),  # square-free, but letter 2 is not binary
-            symmetry_reduced=True,
             elapsed=0.0,
         )
 
@@ -422,7 +416,6 @@ def test_verify_large_exhausted_is_flagged():
         max_depth=40,
         nodes_visited=1,
         witness=None,
-        symmetry_reduced=True,
         elapsed=0.0,
     )
     res = verify_certificate(cert)
@@ -455,18 +448,15 @@ _CHEAP_WORDS = 3**8
 
 def test_verify_matches_full_enumeration():
     """The canonical enumeration gives the verdict of the former full one,
-    detail text included: on every bracket certificate of {2, 3} x {1, 2, 3}
-    with symmetry on and off, on each EXHAUSTED one with max_depth one or
-    two too low (a counterexample) and one or two too high (no word of the
-    claimed depth), and at max_depth 0.  Certificates whose enumeration would pass
+    detail text included: on every bracket certificate of {2, 3} x {1, 2, 3},
+    on each EXHAUSTED one with max_depth one or two too low (a
+    counterexample) and one or two too high (no word of the claimed depth),
+    and at max_depth 0.  Certificates whose enumeration would pass
     _CHEAP_WORDS words are left out; criterion 8 re-proves the deep ones."""
     certs = []
     for a in (2, 3):
         for l in (1, 2, 3):
-            for cert in bracket_threshold(a, l).certificates:
-                off = extend_search(a, cert.constraint, default_target_length(a, l), symmetry=False)
-                assert not off.symmetry_reduced and off.outcome is cert.outcome
-                certs += [cert, off]
+            certs += bracket_threshold(a, l).certificates
     certs += [
         dataclasses.replace(cert, max_depth=cert.max_depth + step)
         for cert in certs
@@ -474,7 +464,7 @@ def test_verify_matches_full_enumeration():
         for step in (-2, -1, 1, 2)
     ]
     certs += [
-        SearchCertificate(a, geq(1, 2), Outcome.EXHAUSTED, 0, 1, None, True, 0.0)
+        SearchCertificate(a, geq(1, 2), Outcome.EXHAUSTED, 0, 1, None, 0.0)
         for a in (1, 2, 3)
     ]
     cheap = [
@@ -543,6 +533,38 @@ def test_certificate_json_roundtrip():
         assert back.nodes_visited == cert.nodes_visited
         with pytest.raises(ValueError, match="negative nodes_visited -5"):
             SearchCertificate.from_jsonable({**doc, "nodes_visited": -5})
+
+
+def test_certificate_refuses_an_unreduced_tree_and_a_bad_elapsed():
+    """A symmetry_reduced other than true, or none, and an elapsed time that
+    is negative, not finite or neither an int nor a float are refused when
+    a certificate is built or read, and by both v1 schemas."""
+    bracket = bracket_threshold(2, 1, max_denominator=2, target_length=20).to_jsonable()
+    doc = bracket["certificates"][0]
+    cert = SearchCertificate.from_jsonable(doc)
+    for elapsed in (-0.001, -4, math.nan, math.inf, True, "1", None):
+        with pytest.raises(ValueError, match="elapsed"):
+            dataclasses.replace(cert, elapsed=elapsed)
+    cert_schema, bracket_schema = load_schema("search_certificate"), load_schema("bracket")
+    jsonschema.validate(doc, cert_schema)
+    jsonschema.validate(bracket, bracket_schema)
+    edits = [
+        ({**doc, "symmetry_reduced": False}, "symmetry_reduced is False"),
+        ({**doc, "symmetry_reduced": "no"}, "symmetry_reduced is 'no'"),
+        ({k: v for k, v in doc.items() if k != "symmetry_reduced"}, "malformed certificate"),
+        ({**doc, "elapsed_ms": -4}, "elapsed -0.004 "),
+        ({**doc, "elapsed_ms": True}, "elapsed True "),
+    ]
+    for bad, message in edits:
+        in_bracket = {**bracket, "certificates": [bad] + bracket["certificates"][1:]}
+        for reader, document, schema in [
+            (SearchCertificate.from_jsonable, bad, cert_schema),
+            (Bracket.from_jsonable, in_bracket, bracket_schema),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                reader(document)
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(document, schema)
 
 
 # --- bracket ---------------------------------------------------------------------
