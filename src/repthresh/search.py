@@ -14,6 +14,7 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, inf
 from operator import index
 
@@ -285,8 +286,9 @@ class Bracket:
     heuristic: a long word avoiding exponents >= r_hi (or, with the
     strict-fallback flag, strictly above r_hi) was found at the first
     REACHED rung, which ends the ladder; without one r_hi is None.  Neither
-    side claims the infimum is attained.  A certificate of another (a, l)
-    raises ValueError.
+    side claims the infimum is attained.  An alphabet below 2, a min period
+    below 1, no certificates or a certificate of another (a, l) raises
+    ValueError; an a or l that is not an integer raises TypeError.
     """
 
     a: int
@@ -294,6 +296,14 @@ class Bracket:
     certificates: list[SearchCertificate]
 
     def __post_init__(self) -> None:
+        for name in ("a", "l"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        if self.a < 2:
+            raise ValueError(f"alphabet size {self.a} below 2")
+        if self.l < 1:
+            raise ValueError(f"min period {self.l} below 1")
+        if not self.certificates:
+            raise ValueError("a bracket needs at least one certificate")
         if any((c.alphabet_size, c.constraint.min_period) != (self.a, self.l) for c in self.certificates):
             raise ValueError(f"the bracket for a={self.a} l={self.l} holds a certificate of another (a, l)")
 
@@ -414,13 +424,25 @@ def _canonical_words(alphabet_size: int, length: int):
     """Yield, in lexicographic order, the canonical words of `length` letters
     below `alphabet_size`: those whose letters first appear in the order 0,
     1, 2, ..., so that each letter is at most one more than the largest
-    before it."""
-    if length == 0:
-        yield ()
-        return
-    for prefix in _canonical_words(alphabet_size, length - 1):
-        for x in _canonical_letters(alphabet_size, prefix):
-            yield prefix + (x,)
+    before it.
+
+    The canonical prefixes are walked depth-first, letters ascending, from
+    a stack; a prefix is extended only until it has `length` letters or
+    may be followed by every letter.  Its largest letter is then at least
+    alphabet_size - 2, so every extension of it is canonical, and the
+    extensions are yielded as ``prefix + s`` for each s of
+    ``itertools.product``, mapped in C.  The order stays lexicographic:
+    product yields its tuples in lexicographic order, every word below a
+    prefix starts with it, and siblings are taken in ascending order.  The
+    walk is lazy and holds at most alphabet_size prefixes per level."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        letters = _canonical_letters(alphabet_size, prefix)
+        if len(prefix) == length or len(letters) == alphabet_size:
+            yield from map(prefix.__add__, product(range(alphabet_size), repeat=length - len(prefix)))
+        else:
+            stack += [prefix + (x,) for x in reversed(letters)]
 
 
 def verify_certificate(cert: SearchCertificate) -> VerificationResult:

@@ -30,7 +30,7 @@ from repthresh import (
 )
 from repthresh import search
 from repthresh.schemas import load_schema
-from repthresh.search import _REVERIFY_MAX_DEPTH, _canonical_words
+from repthresh.search import _REVERIFY_MAX_ALPHABET, _REVERIFY_MAX_DEPTH, _canonical_words
 from reference_kernel import ref_bracket_threshold, ref_extend_search, ref_verify_certificate
 
 
@@ -253,8 +253,8 @@ def test_verify_exhausted_builds_a_word_only_for_a_counterexample(monkeypatch):
 
 def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
     # one walk of the prefixes of length max_depth, whose children are
-    # scanned in place, also shows that max_depth is attained; the generator
-    # recurses through the module name, so every level counts
+    # scanned in place, also shows that max_depth is attained; only an
+    # EXHAUSTED certificate under the caps is walked
     calls = []
     walk = search._canonical_words
 
@@ -267,7 +267,7 @@ def test_verify_exhausted_walks_the_canonical_words_once(monkeypatch):
     assert honest.max_depth == 3
     res = verify_certificate(honest)
     assert res.ok and res.independently_verified
-    assert calls == [3, 2, 1, 0]
+    assert calls == [3]
     calls.clear()
     for cert in (
         extend_search(2, strict(1, 2), 50),  # REACHED
@@ -440,6 +440,20 @@ def test_canonical_words_are_the_canonical_product_tuples():
             got = list(_canonical_words(a, n))
             assert got == expected, (a, n)
             assert len(got) == sum(_stirling2(n, k) for k in range(a + 1)), (a, n)
+    # every length the re-proof walks: strictly ascending canonical words,
+    # as many as there are, so exactly the canonical words in order
+    for a in range(1, _REVERIFY_MAX_ALPHABET + 1):
+        for n in range(_REVERIFY_MAX_DEPTH + 1):
+            got = list(_canonical_words(a, n))
+            assert all(u < v for u, v in zip(got, got[1:])), (a, n)
+            assert all(list(dict.fromkeys(w)) == list(range(len(set(w)))) for w in got), (a, n)
+            assert len(got) == sum(_stirling2(n, k) for k in range(a + 1)), (a, n)
+
+
+def test_canonical_words_are_lazy():
+    # there are about 3**199 / 2 canonical words of length 200; a walk that
+    # built whole levels would never return
+    assert next(_canonical_words(3, 200)) == (0,) * 200
 
 
 # The reference re-enumerates at most this many words of one length.
@@ -482,11 +496,21 @@ def test_verify_matches_full_enumeration():
     assert len(cheap) > len(certs) // 2
 
 
-def test_verify_verdicts_on_the_bracket_grid():
+def test_verify_verdicts_on_the_bracket_grid(monkeypatch):
     """Every verdict on the 425 certificates of {2..5} x {1..5}, frozen: each
     EXHAUSTED certificate with max_depth moved by -2..+2, and each REACHED
     one as it is.  The digest is of the repr((ok, independently_verified,
-    detail)) lines; the count of each detail kind says which verdicts moved."""
+    detail)) lines; the count of each detail kind says which verdicts moved,
+    and the count of scans says whether the walk did."""
+    scans = 0
+    scan = search._naive_wins
+
+    def counting_scan(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(search, "_naive_wins", counting_scan)
     lines = []
     for a in range(2, 6):
         for l in range(1, 6):
@@ -510,6 +534,7 @@ def test_verify_verdicts_on_the_bracket_grid():
     }
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "517de60114f3c7e4562acec389e23eb30448ad174be637474ecbf37fdf5e7af2"
+    assert scans == 686_500
 
 
 def test_verify_budget_certificate():
@@ -668,6 +693,31 @@ def test_bracket_reader_rejects_ends_that_disagree_with_the_certificates():
     for bad, message in edited:
         with pytest.raises(ValueError, match=message):
             Bracket.from_jsonable(json.loads(json.dumps(bad)))
+
+
+def test_bracket_refuses_a_bad_cell_and_no_certificates():
+    """a and l are stored as integers and range-checked, and a bracket holds
+    at least one certificate, when it is built or read, as the v1 schema
+    says; a document of no bracket does not read back as given."""
+    certs = bracket_threshold(2, 1, max_denominator=2, target_length=20).certificates
+    empty = {"r_lo": None, "r_hi": None, "r_hi_strict_fallback": False, "c_hat": None, "certificates": []}
+    schema = load_schema("bracket")
+    for doc, message in [
+        ({"a": 2.5, "l": True, **empty}, "malformed bracket"),
+        ({"a": 0, "l": -3, **empty}, "alphabet size 0 below 2"),
+        ({"a": 2, "l": -3, **empty}, "min period -3 below 1"),
+        ({"a": 2, "l": 1, **empty}, "at least one certificate"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Bracket.from_jsonable(doc)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+    with pytest.raises(TypeError):
+        Bracket(2.5, 1, certs)
+    with pytest.raises(TypeError):
+        Bracket(2, 1.0, certs)
+    bracket = Bracket(2, True, certs)
+    assert type(bracket.l) is int and bracket.to_jsonable()["l"] == 1
 
 
 def test_bracket_summary_line():
